@@ -34,7 +34,6 @@ from .evaluation import (
     select_hyperparameters,
 )
 from .experts import (
-    ExpertScoreTable,
     NigPosterior,
     design_matrix,
     design_vector,
@@ -49,7 +48,6 @@ from .pools import (
     NATURAL,
     FixedScaling,
     NaturalScaling,
-    assemble_pool,
     equal_weights,
     local_opt_weights,
     optimize_pool_weights,
@@ -83,7 +81,6 @@ __all__ = [
     "nig_update",
     "nig_predictive",
     "nig_log_scores",
-    "ExpertScoreTable",
     "History",
     "PredictionRecord",
     "LocalElpdEstimate",
@@ -97,7 +94,6 @@ __all__ = [
     "optimize_pool_weights",
     "pooled_log_scores",
     "local_opt_weights",
-    "assemble_pool",
     "EvaluationConfig",
     "EvaluationStream",
     "EvaluationResult",

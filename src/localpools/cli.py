@@ -26,10 +26,7 @@ from .evaluation import (
     ALL_SCHEMES,
     DEFAULT_SCALING_GRID,
     DEFAULT_WIDTH_GRID,
-    SCHEME_EQUAL,
-    SCHEME_GLOBAL_OPT,
-    SCHEME_LOCAL_OPT,
-    SCHEME_LOCAL_SOFTMAX,
+    SCHEMES,
     EvaluationConfig,
     rolling_evaluate,
 )
@@ -49,7 +46,6 @@ from .io import (
     write_score_csv,
 )
 from .local_elpd import caliper_elpd
-from .pools import equal_weights, local_opt_weights, optimize_pool_weights, softmax_weights
 from .simulation import (
     DEFAULT_ERROR_WIDTHS,
     DEFAULT_POOL_SCHEMES,
@@ -381,21 +377,10 @@ def _cmd_pool_once(args, settings: _Settings) -> int:
         "neighbor_count": estimate.neighbor_count,
         "local_estimates": dict(zip(names, map(float, estimate.estimates))),
         "weights": {
-            SCHEME_LOCAL_SOFTMAX: dict(
-                zip(names, map(float, softmax_weights(estimate, scaling).values))
-            ),
-            SCHEME_LOCAL_OPT: dict(
-                zip(names, map(float, local_opt_weights(history, point, width).values))
-            ),
-            SCHEME_EQUAL: dict(
-                zip(names, map(float, equal_weights(len(names)).values))
-            ),
-            SCHEME_GLOBAL_OPT: dict(
-                zip(
-                    names,
-                    map(float, optimize_pool_weights(history.score_matrix).values),
-                )
-            ),
+            scheme: dict(
+                zip(names, map(float, entry.weights(history, point, width, scaling).values))
+            )
+            for scheme, entry in SCHEMES.items()
         },
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

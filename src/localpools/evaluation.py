@@ -13,16 +13,20 @@ The stream is split into three consecutive batches:
   (to seed hyperparameter selection) but no scheme results are reported,
 * evaluation — full per-step results.
 
-Schemes with hyperparameters pick them afresh at every reported step by
-running one shadow pool per grid cell over the whole scored stretch and
-selecting the cell whose *own* cumulative log score so far is highest
-(ties fall to the earlier grid entry).  Each shadow pool keeps its own
-frozen trajectory; past shadow scores are never revised.
+Every scheme is one entry of ``SCHEMES``: the hyperparameter axes it
+takes from the config and the function that turns a history into its
+weights.  Schemes with hyperparameters pick them afresh at every reported
+step by running one shadow pool per grid cell over the whole scored
+stretch and selecting the cell whose *own* cumulative log score so far is
+highest (ties fall to the earlier grid entry).  The reported weights and
+score are that cell's shadow entry for the step.  Each shadow pool keeps
+its own frozen trajectory; past shadow scores are never revised.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +49,8 @@ __all__ = [
     "SCHEME_EQUAL",
     "SCHEME_GLOBAL_OPT",
     "SCHEME_LOCAL_OPT",
+    "Scheme",
+    "SCHEMES",
     "ALL_SCHEMES",
     "DEFAULT_WIDTH_GRID",
     "DEFAULT_SCALING_GRID",
@@ -61,12 +67,6 @@ SCHEME_LOCAL_SOFTMAX = "local_softmax"
 SCHEME_EQUAL = "equal"
 SCHEME_GLOBAL_OPT = "global_opt"
 SCHEME_LOCAL_OPT = "local_opt"
-ALL_SCHEMES = (
-    SCHEME_LOCAL_SOFTMAX,
-    SCHEME_EQUAL,
-    SCHEME_GLOBAL_OPT,
-    SCHEME_LOCAL_OPT,
-)
 
 DEFAULT_WIDTH_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, math.inf)
 DEFAULT_SCALING_GRID = (
@@ -78,7 +78,51 @@ DEFAULT_SCALING_GRID = (
     NATURAL,
 )
 
-_LOCAL_SCHEMES = frozenset({SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT})
+
+@dataclass(frozen=True)
+class Scheme:
+    """One pooling scheme: the config grids it searches and its weight rule.
+
+    ``axes`` names the hyperparameters the scheme takes, a subset of
+    ``("width", "scaling")`` read from the config's ``width_grid`` and
+    ``scaling_grid``.  ``weights(history, point, width, scaling)`` builds
+    the pool weights from the history alone and reads only the axes the
+    scheme takes.  A scheme without a width axis has no caliper, so its
+    weights do not depend on the point either.
+    """
+
+    axes: tuple[str, ...]
+    weights: Callable[..., PoolWeights]
+
+
+# The weight rules call the pool builders through this module's globals,
+# never through stored function objects, so wrapping a builder from
+# outside (as the benchmark's tracer does) reaches every scheme.
+def _local_softmax(history: History, point, width, scaling) -> PoolWeights:
+    return softmax_weights(caliper_elpd(history, point, width), scaling)
+
+
+def _equal(history: History, point, width, scaling) -> PoolWeights:
+    return equal_weights(history.n_experts)
+
+
+def _global_opt(history: History, point, width, scaling) -> PoolWeights:
+    if len(history) == 0:
+        return equal_weights(history.n_experts)
+    return optimize_pool_weights(history.score_matrix)
+
+
+def _local_opt(history: History, point, width, scaling) -> PoolWeights:
+    return local_opt_weights(history, point, width)
+
+
+SCHEMES = {
+    SCHEME_LOCAL_SOFTMAX: Scheme(("width", "scaling"), _local_softmax),
+    SCHEME_EQUAL: Scheme((), _equal),
+    SCHEME_GLOBAL_OPT: Scheme((), _global_opt),
+    SCHEME_LOCAL_OPT: Scheme(("width",), _local_opt),
+}
+ALL_SCHEMES = tuple(SCHEMES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +153,13 @@ class EvaluationConfig:
         object.__setattr__(self, "schemes", schemes)
         widths = tuple(float(w) for w in self.width_grid)
         scalings = tuple(self.scaling_grid)
-        if _LOCAL_SCHEMES & set(schemes):
+        axes = {axis for scheme in schemes for axis in SCHEMES[scheme].axes}
+        if "width" in axes:
             if not widths:
                 raise ValueError("local schemes need a nonempty caliper width grid")
             if any(not w > 0.0 for w in widths):
                 raise ValueError("caliper widths must be positive")
-        if SCHEME_LOCAL_SOFTMAX in schemes:
+        if "scaling" in axes:
             if not scalings:
                 raise ValueError("the softmax scheme needs a nonempty scaling grid")
             for rule in scalings:
@@ -265,14 +310,23 @@ def cumulative_scores(steps, schemes=None) -> dict[str, np.ndarray]:
     }
 
 
-def _softmax_weights_at(history: History, point, width: float, scaling) -> PoolWeights:
-    return softmax_weights(caliper_elpd(history, point, width), scaling)
+def _grid_cells(scheme: str, config: EvaluationConfig) -> list[tuple]:
+    """(width, scaling) cells, width-major; ``None`` on an axis not taken."""
+    axes = SCHEMES[scheme].axes
+    widths = config.width_grid if "width" in axes else (None,)
+    scalings = config.scaling_grid if "scaling" in axes else (None,)
+    return [(width, scaling) for width in widths for scaling in scalings]
 
 
-def _global_opt_weights(history: History) -> PoolWeights:
-    if len(history) == 0:
-        return equal_weights(history.n_experts)
-    return optimize_pool_weights(history.score_matrix)
+def _cell_label(width, scaling) -> str:
+    parts = [] if width is None else [f"width={width:g}"]
+    if scaling is not None:
+        parts.append(scaling.label())
+    return ",".join(parts)
+
+
+def _pooled_score(weights: PoolWeights, expert_row: np.ndarray) -> float:
+    return float(pooled_log_scores(weights, expert_row[None, :])[0])
 
 
 def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> EvaluationResult:
@@ -288,24 +342,21 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
             f"stream has {T} steps; warmup {config.warmup_size} + history "
             f"{config.history_size} leaves nothing to evaluate"
         )
-    k = stream.n_experts
-    history = History(stream.n_pooling_dims, k)
+    history = History(stream.n_pooling_dims, stream.n_experts)
     schemes = config.schemes
 
-    # One shadow pool per grid cell, per scheme family that selects
-    # hyperparameters.  Cells are laid out width-major / scaling-minor,
-    # matching the declared tie-break order.
-    families: dict[str, list] = {}
-    labels: dict[str, tuple[str, ...]] = {}
-    if SCHEME_LOCAL_SOFTMAX in schemes:
-        cells = [(w, s) for w in config.width_grid for s in config.scaling_grid]
-        families[SCHEME_LOCAL_SOFTMAX] = cells
-        labels[SCHEME_LOCAL_SOFTMAX] = tuple(
-            f"width={w:g},{s.label()}" for w, s in cells
-        )
-    if SCHEME_LOCAL_OPT in schemes:
-        families[SCHEME_LOCAL_OPT] = list(config.width_grid)
-        labels[SCHEME_LOCAL_OPT] = tuple(f"width={w:g}" for w in config.width_grid)
+    # One shadow pool per grid cell, per scheme that takes hyperparameters.
+    # Cells are laid out width-major / scaling-minor, matching the declared
+    # tie-break order.
+    families = {
+        scheme: _grid_cells(scheme, config)
+        for scheme in schemes
+        if SCHEMES[scheme].axes
+    }
+    labels = {
+        name: tuple(_cell_label(*cell) for cell in cells)
+        for name, cells in families.items()
+    }
 
     cand_rows: dict[str, list[np.ndarray]] = {name: [] for name in families}
     cand_cum: dict[str, np.ndarray] = {
@@ -321,31 +372,35 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
         outcome = float(stream.outcomes[t])
         expert_row = stream.log_scores[t]
 
+        # Shadow pools are scored at every non-warmup step, including the
+        # history batch, so selection has something to go on when
+        # reporting starts.  Scored strictly before the record lands.
+        shadow: dict[str, list[PoolWeights]] = {}
+        for name, cells in families.items():
+            shadow[name] = [SCHEMES[name].weights(history, z, *cell) for cell in cells]
+            cand_rows[name].append(
+                np.array([_pooled_score(w, expert_row) for w in shadow[name]])
+            )
+
         if t >= eval_start:
             weights: dict[str, PoolWeights] = {}
             pooled: dict[str, float] = {}
             chosen_width: dict[str, float] = {}
             chosen_scaling: dict[str, str] = {}
             for scheme in schemes:
-                if scheme == SCHEME_EQUAL:
-                    w = equal_weights(k)
-                elif scheme == SCHEME_GLOBAL_OPT:
-                    w = _global_opt_weights(history)
-                elif scheme == SCHEME_LOCAL_SOFTMAX:
-                    pick = select_hyperparameters(cand_cum[scheme])
-                    width, rule = families[scheme][pick]
+                if scheme not in families:
+                    weights[scheme] = SCHEMES[scheme].weights(history, z, None, None)
+                    pooled[scheme] = _pooled_score(weights[scheme], expert_row)
+                    continue
+                # Selection sees the cumulative totals before this step's row.
+                pick = select_hyperparameters(cand_cum[scheme])
+                width, scaling = families[scheme][pick]
+                if width is not None:
                     chosen_width[scheme] = width
-                    chosen_scaling[scheme] = rule.label()
-                    w = _softmax_weights_at(history, z, width, rule)
-                else:  # SCHEME_LOCAL_OPT
-                    pick = select_hyperparameters(cand_cum[scheme])
-                    width = families[scheme][pick]
-                    chosen_width[scheme] = width
-                    w = local_opt_weights(history, z, width)
-                weights[scheme] = w
-                pooled[scheme] = float(
-                    pooled_log_scores(w, expert_row[None, :])[0]
-                )
+                if scaling is not None:
+                    chosen_scaling[scheme] = scaling.label()
+                weights[scheme] = shadow[scheme][pick]
+                pooled[scheme] = float(cand_rows[scheme][-1][pick])
             steps.append(
                 StepResult(
                     time_index=time_index,
@@ -359,20 +414,8 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
                 )
             )
 
-        # Shadow pools are scored at every non-warmup step, including the
-        # history batch, so selection has something to go on when
-        # reporting starts.  Scored strictly before the record lands.
-        for name, cells in families.items():
-            row = np.empty(len(cells))
-            for j, cell in enumerate(cells):
-                if name == SCHEME_LOCAL_SOFTMAX:
-                    width, rule = cell
-                    wj = _softmax_weights_at(history, z, width, rule)
-                else:
-                    wj = local_opt_weights(history, z, cell)
-                row[j] = pooled_log_scores(wj, expert_row[None, :])[0]
-            cand_rows[name].append(row)
-            cand_cum[name] = cand_cum[name] + row
+        for name in families:
+            cand_cum[name] = cand_cum[name] + cand_rows[name][-1]
         cand_times.append(time_index)
 
         history.append(

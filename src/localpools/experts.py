@@ -1,4 +1,4 @@
-"""Conjugate Bayesian linear-regression experts and external score tables.
+"""Conjugate Bayesian linear-regression experts.
 
 The built-in expert is a normal-inverse-gamma (NIG) regression
 
@@ -14,9 +14,6 @@ carried in precision form ``(m, P, a, b)``.  Conditioning on a design row
 predictive is Student-t:
 
     y | x  ~  t_{2a}( x'm,  sqrt(b/a * (1 + x' P^{-1} x)) ).
-
-Experts that live outside the process entirely are represented by an
-``ExpertScoreTable`` holding precomputed log predictive scores.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ __all__ = [
     "nig_update",
     "nig_predictive",
     "nig_log_scores",
-    "ExpertScoreTable",
-    "score_table_expert",
 ]
 
 _SYMMETRY_TOL = 1e-10
@@ -230,55 +225,3 @@ def nig_log_scores(posterior: NigPosterior, X, y) -> np.ndarray:
         - np.log(scale)
         - 0.5 * (dof + 1.0) * np.log1p(z * z / dof)
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ExpertScoreTable:
-    """Precomputed log predictive scores for experts managed elsewhere.
-
-    ``log_scores[t, k]`` is expert k's log predictive density of the
-    outcome realised at time t.  Rows must be rectangular and NaN-free;
-    ``-inf`` (an expert that assigned zero density) is allowed.
-    """
-
-    expert_names: tuple[str, ...]
-    log_scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        names = tuple(str(n) for n in self.expert_names)
-        scores = np.array(self.log_scores, dtype=float)
-        if scores.ndim != 2:
-            raise ValueError("log_scores must be a 2-D (time, expert) array")
-        if len(names) != scores.shape[1]:
-            raise ValueError(
-                f"{len(names)} expert names for {scores.shape[1]} score columns"
-            )
-        if len(set(names)) != len(names):
-            raise ValueError("expert names must be unique")
-        if np.any(np.isnan(scores)):
-            raise ValueError("log scores must not contain NaN")
-        if np.any(scores == np.inf):
-            raise ValueError("log scores must not contain +inf")
-        scores.flags.writeable = False
-        object.__setattr__(self, "expert_names", names)
-        object.__setattr__(self, "log_scores", scores)
-
-    @property
-    def n_steps(self) -> int:
-        return self.log_scores.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return self.log_scores.shape[1]
-
-    def row(self, t: int) -> np.ndarray:
-        if not 0 <= t < self.n_steps:
-            raise IndexError(f"time index {t} outside [0, {self.n_steps})")
-        return self.log_scores[t]
-
-
-def score_table_expert(table: ExpertScoreTable, expert: int, t: int) -> float:
-    """Log score of ``expert`` at time ``t`` from a score table."""
-    if not 0 <= expert < table.n_experts:
-        raise IndexError(f"expert index {expert} outside [0, {table.n_experts})")
-    return float(table.row(t)[expert])

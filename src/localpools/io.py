@@ -24,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evaluation import (
-    SCHEME_LOCAL_OPT,
-    SCHEME_LOCAL_SOFTMAX,
-    EvaluationResult,
-    EvaluationStream,
-)
+from .evaluation import SCHEMES, EvaluationResult, EvaluationStream
 from .pools import NATURAL, FixedScaling
 from .simulation import ErrorStudyResult, PoolStudyResult
 
@@ -214,15 +209,15 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
     names = result.expert_names
     d = result.steps[0].pooling_point.size
 
-    local_schemes = [s for s in schemes if s in (SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT)]
+    width_schemes = [s for s in schemes if "width" in SCHEMES[s].axes]
+    scaling_schemes = [s for s in schemes if "scaling" in SCHEMES[s].axes]
     header = ["t", "y"] + [f"z_{j + 1}" for j in range(d)]
     header += [f"lp_{n}" for n in names]
     header += [f"pooled_{s}" for s in schemes]
     for s in schemes:
         header += [f"w_{s}_{n}" for n in names]
-    header += [f"width_{s}" for s in local_schemes]
-    if SCHEME_LOCAL_SOFTMAX in schemes:
-        header.append(f"scaling_{SCHEME_LOCAL_SOFTMAX}")
+    header += [f"width_{s}" for s in width_schemes]
+    header += [f"scaling_{s}" for s in scaling_schemes]
 
     steps_path = out / "steps.csv"
     with open(steps_path, "w", newline="") as fh:
@@ -235,9 +230,8 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
             row += [format_real(step.pooled_log_scores[s]) for s in schemes]
             for s in schemes:
                 row += [format_real(v) for v in step.weights[s].values]
-            row += [format_real(step.chosen_width[s]) for s in local_schemes]
-            if SCHEME_LOCAL_SOFTMAX in schemes:
-                row.append(step.chosen_scaling[SCHEME_LOCAL_SOFTMAX])
+            row += [format_real(step.chosen_width[s]) for s in width_schemes]
+            row += [step.chosen_scaling[s] for s in scaling_schemes]
             writer.writerow(row)
 
     summary_path = out / "summary.json"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Mixture, PoolWeights, _weighted_logsumexp
+from .densities import PoolWeights, _weighted_logsumexp
 from .history import History
 from .local_elpd import LocalElpdEstimate
 
@@ -33,7 +33,6 @@ __all__ = [
     "optimize_pool_weights",
     "pooled_log_scores",
     "local_opt_weights",
-    "assemble_pool",
 ]
 
 
@@ -126,19 +125,30 @@ def optimize_pool_weights(
     sweeps.  Weights that collapse below 1e-300 are snapped to zero so
     the simplex stays free of denormals.
 
+    A row on which every expert scores ``-inf`` gives every pool a score
+    of ``-inf``, so it carries no information about the weights: such
+    rows are dropped before the update, and the objective is the mean
+    over the rows that remain.  When none remains the weights are exactly
+    ``1/K``.
+
     Returns the ``PoolWeights``, or ``(weights, objective_history)`` when
     ``return_history`` is set; the history is the objective value at the
-    start and after every sweep.
+    start and after every sweep (just the start, ``-inf``, when no row
+    remains).
     """
     E = np.asarray(log_scores, dtype=float)
     if E.ndim != 2 or E.size == 0:
         raise ValueError("log_scores must be a nonempty (rows, experts) matrix")
     if np.any(np.isnan(E)) or np.any(E == np.inf):
         raise ValueError("log scores must be NaN-free and below +inf")
-    n, k = E.shape
+    k = E.shape[1]
     row_max = E.max(axis=1)
-    if np.any(row_max == -np.inf):
-        raise ValueError("every expert scored -inf on some row; no pool has finite score")
+    dead = row_max == -np.inf
+    if np.all(dead):
+        weights = equal_weights(k)
+        return (weights, np.array([-np.inf])) if return_history else weights
+    if np.any(dead):
+        E, row_max = E[~dead], row_max[~dead]
     A = np.exp(E - row_max[:, None])
 
     w = np.full(k, 1.0 / k)
@@ -193,8 +203,3 @@ def local_opt_weights(
     return optimize_pool_weights(
         history.score_matrix[idx], rel_tol=rel_tol, max_iter=max_iter
     )
-
-
-def assemble_pool(weights: PoolWeights, components) -> Mixture:
-    """Linear pool of predictive distributions under the given weights."""
-    return Mixture(weights=weights, components=tuple(components))

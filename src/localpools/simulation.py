@@ -29,8 +29,8 @@ from .densities import Mixture, PoolWeights
 from .evaluation import (
     SCHEME_EQUAL,
     SCHEME_GLOBAL_OPT,
-    SCHEME_LOCAL_OPT,
     SCHEME_LOCAL_SOFTMAX,
+    SCHEMES,
     EvaluationStream,
 )
 from .experts import (
@@ -44,7 +44,7 @@ from .experts import (
 )
 from .history import History, PredictionRecord
 from .local_elpd import LocalElpdEstimate, caliper_elpd, true_local_elpd
-from .pools import NATURAL, equal_weights, optimize_pool_weights, softmax_weights
+from .pools import NATURAL, softmax_weights
 
 __all__ = [
     "DgpConfig",
@@ -322,10 +322,6 @@ class PoolStudyResult:
     def mean_scores(self) -> np.ndarray:
         return self.scores.mean(axis=0)
 
-    def standard_errors(self) -> np.ndarray:
-        r = self.scores.shape[0]
-        return self.scores.std(axis=0, ddof=1) / math.sqrt(r)
-
     def paired_comparison(self, scheme_a: str, scheme_b: str):
         """Replication-paired contrast a − b: (mean, SE, z) per (point, width)."""
         ia = self.schemes.index(scheme_a)
@@ -354,7 +350,8 @@ def pool_comparison_study(
     Shares the split-fit design of the error study; each scheme's pooled
     mixture of the fitted posterior predictives is scored by quadrature
     against the true conditional law, so differences between schemes are
-    purely about the weights.
+    purely about the weights.  Every scheme is an entry of
+    ``evaluation.SCHEMES``; local softmax uses natural scaling.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications for a stable picture")
@@ -362,13 +359,11 @@ def pool_comparison_study(
     if experts is None:
         experts = default_experts()
     schemes = tuple(schemes)
-    known = {SCHEME_LOCAL_SOFTMAX, SCHEME_EQUAL, SCHEME_GLOBAL_OPT, SCHEME_LOCAL_OPT}
-    unknown = [s for s in schemes if s not in known]
+    unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
         raise ValueError(f"unknown schemes {unknown}")
     z_points = np.atleast_2d(np.asarray(query_points, dtype=float))
     widths = tuple(float(w) for w in width_grid)
-    k = len(experts)
     train_size = int(round(train_fraction * config.sample_size))
     if not 1 <= train_size < config.sample_size:
         raise ValueError("train fraction leaves an empty batch")
@@ -381,9 +376,13 @@ def pool_comparison_study(
         n_history = len(history)
         score_matrix = history.score_matrix
 
-        global_weights = None
-        if SCHEME_GLOBAL_OPT in schemes:
-            global_weights = optimize_pool_weights(score_matrix)
+        # A scheme without a caliper width ignores the query point, so its
+        # weights are built once per replication.
+        global_weights = {
+            scheme: SCHEMES[scheme].weights(history, None, None, NATURAL)
+            for scheme in schemes
+            if "width" not in SCHEMES[scheme].axes
+        }
 
         # Polarizing-behaviour diagnostic: natural-scaling softmax with
         # the caliper covering every record, so the factor is the full
@@ -409,24 +408,12 @@ def pool_comparison_study(
                 )
 
             for s, scheme in enumerate(schemes):
-                if scheme == SCHEME_EQUAL:
-                    scores[r, m, s, :] = expected_score(equal_weights(k))
-                elif scheme == SCHEME_GLOBAL_OPT:
-                    scores[r, m, s, :] = expected_score(global_weights)
-                else:
-                    for w, width in enumerate(widths):
-                        if scheme == SCHEME_LOCAL_SOFTMAX:
-                            weights = softmax_weights(
-                                caliper_elpd(history, z, width), NATURAL
-                            )
-                        else:  # SCHEME_LOCAL_OPT
-                            idx = history.caliper_neighbors(z, width)
-                            weights = (
-                                optimize_pool_weights(score_matrix[idx])
-                                if idx.size
-                                else equal_weights(k)
-                            )
-                        scores[r, m, s, w] = expected_score(weights)
+                if scheme in global_weights:
+                    scores[r, m, s, :] = expected_score(global_weights[scheme])
+                    continue
+                for w, width in enumerate(widths):
+                    weights = SCHEMES[scheme].weights(history, z, width, NATURAL)
+                    scores[r, m, s, w] = expected_score(weights)
     return PoolStudyResult(
         query_points=z_points,
         width_grid=widths,

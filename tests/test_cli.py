@@ -8,7 +8,16 @@ import pytest
 
 from localpools.cli import main
 from localpools.evaluation import EvaluationStream
-from localpools.io import write_score_csv
+from localpools.history import History, PredictionRecord
+from localpools.io import load_score_csv, write_score_csv
+from localpools.local_elpd import caliper_elpd
+from localpools.pools import (
+    NATURAL,
+    equal_weights,
+    local_opt_weights,
+    optimize_pool_weights,
+    softmax_weights,
+)
 
 EVAL_ARGS = [
     "--simulate",
@@ -109,6 +118,29 @@ def test_pool_once_to_file(tmp_path):
     for weights in payload["weights"].values():
         assert set(weights) == {"alpha", "beta"}
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
+
+    stream = load_score_csv(scores)
+    history = History(stream.n_pooling_dims, stream.n_experts)
+    for i in range(stream.n_steps):
+        history.append(
+            PredictionRecord(
+                time_index=int(stream.time_indices[i]),
+                pooling_point=stream.pooling_points[i],
+                outcome=float(stream.outcomes[i]),
+                log_scores=stream.log_scores[i],
+            )
+        )
+    point = np.array([0.5, -0.25])
+    direct = {
+        "local_softmax": softmax_weights(caliper_elpd(history, point, 2.0), NATURAL),
+        "local_opt": local_opt_weights(history, point, 2.0),
+        "equal": equal_weights(2),
+        "global_opt": optimize_pool_weights(history.score_matrix),
+    }
+    for scheme, weights in direct.items():
+        assert [payload["weights"][scheme][n] for n in ("alpha", "beta")] == list(
+            weights.values
+        )
 
 
 def test_pool_once_to_stdout(tmp_path, capsys):

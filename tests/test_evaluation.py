@@ -28,6 +28,7 @@ from localpools.pools import (
     optimize_pool_weights,
     softmax_weights,
 )
+from localpools.simulation import DgpConfig, generate_dgp, nig_evaluation_stream
 
 
 def _synthetic_stream(T=60, k=3, seed=0):
@@ -316,7 +317,10 @@ class TestNoLookahead:
                     if ti >= step.time_index:
                         break
                     cum = cum + rows[i]
+                assert res.candidate_times[i] == step.time_index
                 pick = select_hyperparameters(cum)
+                # The reported score is the chosen cell's own shadow entry.
+                assert step.pooled_log_scores[scheme] == rows[i, pick]
                 if scheme == SCHEME_LOCAL_SOFTMAX:
                     expected = (
                         f"width={step.chosen_width[scheme]:g},"
@@ -325,6 +329,48 @@ class TestNoLookahead:
                 else:
                     expected = f"width={step.chosen_width[scheme]:g}"
                 assert labels[pick] == expected
+
+
+class TestDeadRows:
+    """A row where every expert scores -inf carries no weight information."""
+
+    SMALL_GRIDS = dict(width_grid=(1.0, math.inf), scaling_grid=(NATURAL,))
+
+    def test_dead_row_is_skipped_by_the_optimizers(self):
+        base = nig_evaluation_stream(generate_dgp(DgpConfig(sample_size=400, seed=3)))
+        scores = base.log_scores.copy()
+        scores[150] = -np.inf
+        stream = EvaluationStream(
+            base.pooling_points, base.outcomes, scores, base.expert_names
+        )
+        res = rolling_evaluate(
+            stream, EvaluationConfig(warmup_size=50, history_size=50, **self.SMALL_GRIDS)
+        )
+        assert set(res.totals()) == set(ALL_SCHEMES)
+        dead = next(s for s in res.steps if s.time_index == 150)
+        assert set(dead.pooled_log_scores.values()) == {-np.inf}
+        later = res.steps[-1]
+        live_history = np.delete(scores[50 : later.time_index], 150 - 50, axis=0)
+        np.testing.assert_array_equal(
+            later.weights[SCHEME_GLOBAL_OPT].values,
+            optimize_pool_weights(live_history).values,
+        )
+
+    def test_all_dead_history_gives_exactly_equal_weights(self):
+        rng = np.random.default_rng(4)
+        stream = EvaluationStream(
+            rng.normal(size=(12, 2)),
+            rng.normal(size=12),
+            np.full((12, 3), -np.inf),
+            ("a", "b", "c"),
+        )
+        config = EvaluationConfig(warmup_size=0, history_size=4, **self.SMALL_GRIDS)
+        for step in rolling_evaluate(stream, config).steps:
+            for scheme in (SCHEME_GLOBAL_OPT, SCHEME_LOCAL_OPT):
+                np.testing.assert_array_equal(
+                    step.weights[scheme].values, equal_weights(3).values
+                )
+            assert set(step.pooled_log_scores.values()) == {-np.inf}
 
 
 class TestSoftmaxGlobalLimit:

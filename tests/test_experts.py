@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.stats import kstest, t as student_t
 
 from localpools.experts import (
-    ExpertScoreTable,
     NigPosterior,
     design_matrix,
     design_vector,
@@ -14,7 +13,6 @@ from localpools.experts import (
     nig_log_scores,
     nig_predictive,
     nig_update,
-    score_table_expert,
 )
 from oracles import nig_predictive_logpdf_by_evidence_ratio, sample_nig_predictive
 
@@ -201,25 +199,3 @@ class TestPredictive:
         )
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
 
-
-class TestScoreTable:
-    def test_round_access(self):
-        table = ExpertScoreTable(("a", "b"), np.array([[0.0, -1.0], [-2.0, -3.0]]))
-        assert table.n_steps == 2 and table.n_experts == 2
-        assert score_table_expert(table, 1, 0) == -1.0
-        np.testing.assert_array_equal(table.row(1), [-2.0, -3.0])
-
-    def test_rejects_ragged_and_nan(self):
-        with pytest.raises(ValueError):
-            ExpertScoreTable(("a",), np.array([[0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            ExpertScoreTable(("a", "b"), np.array([[0.0, np.nan]]))
-        with pytest.raises(ValueError):
-            ExpertScoreTable(("a", "a"), np.array([[0.0, 0.0]]))
-
-    def test_bounds_checked(self):
-        table = ExpertScoreTable(("a",), np.array([[0.0]]))
-        with pytest.raises(IndexError):
-            table.row(1)
-        with pytest.raises(IndexError):
-            score_table_expert(table, 1, 0)

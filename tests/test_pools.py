@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localpools.densities import Gaussian, PoolWeights, pooled_log_density
+from localpools.densities import Gaussian, Mixture, PoolWeights, pooled_log_density
 from localpools.history import History, PredictionRecord
 from localpools.local_elpd import LocalElpdEstimate
 from localpools.pools import (
     NATURAL,
     FixedScaling,
-    assemble_pool,
     equal_weights,
     local_opt_weights,
     optimize_pool_weights,
@@ -134,8 +133,25 @@ class TestOptimizePoolWeights:
             optimize_pool_weights(np.array([[0.0, np.nan]]))
         with pytest.raises(ValueError):
             optimize_pool_weights(np.array([-1.0, -2.0]))  # 1-D
-        with pytest.raises(ValueError):
-            optimize_pool_weights(np.array([[-np.inf, -np.inf]]))
+
+    def test_rows_with_every_expert_dead_are_dropped(self):
+        rng = np.random.default_rng(8)
+        live = rng.normal(-2.0, 1.0, size=(30, 3))
+        dead = np.full(3, -np.inf)
+        with_dead = np.vstack([live[:10], dead, live[10:], dead])
+        w, trace = optimize_pool_weights(with_dead, return_history=True)
+        w_live, trace_live = optimize_pool_weights(live, return_history=True)
+        np.testing.assert_array_equal(w.values, w_live.values)
+        np.testing.assert_array_equal(trace, trace_live)
+
+    def test_no_live_row_gives_exactly_equal(self):
+        w, trace = optimize_pool_weights(
+            np.full((4, 3), -np.inf), return_history=True
+        )
+        np.testing.assert_array_equal(w.values, equal_weights(3).values)
+        np.testing.assert_array_equal(trace, [-np.inf])
+        w = optimize_pool_weights(np.array([[-np.inf, -np.inf]]))
+        np.testing.assert_array_equal(w.values, [0.5, 0.5])
 
     def test_single_expert(self):
         w = optimize_pool_weights(np.array([[-1.0], [-2.0]]))
@@ -250,7 +266,7 @@ class TestAssemblePool:
     def test_matches_componentwise_pooling(self):
         w = PoolWeights(np.array([0.3, 0.7]))
         comps = (Gaussian(-1.0, 1.0), Gaussian(1.0, 2.0))
-        mix = assemble_pool(w, comps)
+        mix = Mixture(weights=w, components=comps)
         for y in (-2.0, 0.0, 3.0):
             lp = np.array([c.log_density(y) for c in comps])
             assert mix.log_density(y) == pytest.approx(
@@ -260,5 +276,5 @@ class TestAssemblePool:
     def test_degenerate_weight_reduces_to_component(self):
         w = PoolWeights(np.array([1.0, 0.0]))
         comps = (Gaussian(0.0, 1.0), Gaussian(5.0, 1.0))
-        mix = assemble_pool(w, comps)
+        mix = Mixture(weights=w, components=comps)
         assert mix.log_density(0.0) == comps[0].log_density(0.0)

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from localpools.densities import Mixture
 from localpools.experts import design_vector, nig_predictive, nig_update
-from localpools.local_elpd import LocalElpdEstimate
-from localpools.pools import NATURAL, softmax_weights
+from localpools.local_elpd import LocalElpdEstimate, true_local_elpd
+from localpools.pools import NATURAL, local_opt_weights, softmax_weights
 from localpools.simulation import (
     DEFAULT_ERROR_WIDTHS,
     DEFAULT_POOL_SCHEMES,
     DgpConfig,
+    _fit_and_score_split,
+    _generate,
+    _replication_seeds,
     default_experts,
     estimator_error_study,
     generate_dgp,
@@ -203,6 +207,27 @@ class TestPoolStudy:
     def test_replication_floor(self):
         with pytest.raises(ValueError, match="100"):
             pool_comparison_study(replications=10, config=FAST)
+
+    def test_local_opt_scores_the_caliper_optimal_mixture(self):
+        widths = (0.5, 2.0)
+        study = pool_comparison_study(
+            ((2.0, 0.0), (0.0, 0.0)),
+            width_grid=widths,
+            replications=100,
+            config=FAST,
+            schemes=("equal", "local_opt"),
+        )
+        # Rebuild replication 0 and score local_opt_weights' mixture directly.
+        data = _generate(np.random.default_rng(_replication_seeds(FAST.seed, 100)[0]), FAST)
+        fitted, history = _fit_and_score_split(data, default_experts(), 100)
+        s = study.schemes.index("local_opt")
+        for m, z in enumerate(study.query_points):
+            predictives = tuple(nig_predictive(p, design_vector(p, z)) for p in fitted)
+            for w, width in enumerate(widths):
+                mix = Mixture(
+                    weights=local_opt_weights(history, z, width), components=predictives
+                )
+                assert study.scores[0, m, s, w] == true_local_elpd(FAST, mix, z)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
