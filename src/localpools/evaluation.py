@@ -263,7 +263,9 @@ class EvaluationResult:
     ``candidate_log_scores[scheme]`` holds one shadow-pool log score per
     scored step (history batch and evaluation batch alike, in time
     order) and per grid cell, so the selection made at any reported step
-    can be re-derived by summing rows strictly before it.
+    can be re-derived by summing rows strictly before it.  Rows of steps
+    on which every expert scored ``-inf`` are kept in the ledger (every
+    cell scores ``-inf`` there) but left out of those sums.
     """
 
     config: EvaluationConfig
@@ -414,8 +416,12 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
                 )
             )
 
-        for name in families:
-            cand_cum[name] = cand_cum[name] + cand_rows[name][-1]
+        # A row on which every expert scores -inf scores -inf in every cell
+        # and says nothing about which cell is better: it stays in the
+        # ledger but not in the totals, which would otherwise all tie.
+        if np.any(expert_row > -np.inf):
+            for name in families:
+                cand_cum[name] = cand_cum[name] + cand_rows[name][-1]
         cand_times.append(time_index)
 
         history.append(

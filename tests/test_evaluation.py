@@ -356,6 +356,49 @@ class TestDeadRows:
             optimize_pool_weights(live_history).values,
         )
 
+    def test_dead_row_stays_out_of_the_shadow_totals(self):
+        """After a dead row the totals stay finite and selection still works."""
+        base = nig_evaluation_stream(generate_dgp(DgpConfig(sample_size=400, seed=3)))
+        scores = base.log_scores.copy()
+        scores[150] = -np.inf
+        config = EvaluationConfig(
+            warmup_size=50,
+            history_size=50,
+            width_grid=(0.5, 1.0, math.inf),
+            scaling_grid=(FixedScaling(1.0), NATURAL),
+        )
+        res = rolling_evaluate(
+            EvaluationStream(base.pooling_points, base.outcomes, scores, base.expert_names),
+            config,
+        )
+        live = np.any(scores[res.candidate_times] > -np.inf, axis=1)
+        assert not live[res.candidate_times == 150].any() and live.sum() == live.size - 1
+        for scheme in (SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT):
+            rows = res.candidate_log_scores[scheme]
+            assert np.all(rows[~live] == -np.inf)
+            assert np.all(np.isfinite(rows[live].sum(axis=0)))
+            labels = res.candidate_labels[scheme]
+            for step in res.steps:
+                cum = np.zeros(rows.shape[1])
+                for i, ti in enumerate(res.candidate_times):
+                    if ti >= step.time_index:
+                        break
+                    if live[i]:
+                        cum = cum + rows[i]
+                chosen = f"width={step.chosen_width[scheme]:g}"
+                if scheme == SCHEME_LOCAL_SOFTMAX:
+                    chosen += f",{step.chosen_scaling[scheme]}"
+                assert labels[select_hyperparameters(cum)] == chosen
+        # Were the dead row counted, every total would be -inf from step 151
+        # on and the first cell (width=0.5, tau=1) would win every step.
+        # The softmax picks match the stream without the dead row instead.
+        clean = rolling_evaluate(base, config)
+        softmax = SCHEME_LOCAL_SOFTMAX
+        for step, clean_step in zip(res.steps, clean.steps):
+            if step.time_index > 150:
+                assert step.chosen_width[softmax] == clean_step.chosen_width[softmax]
+                assert step.chosen_scaling[softmax] == clean_step.chosen_scaling[softmax]
+
     def test_all_dead_history_gives_exactly_equal_weights(self):
         rng = np.random.default_rng(4)
         stream = EvaluationStream(

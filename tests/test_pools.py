@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localpools.densities import Gaussian, Mixture, PoolWeights, pooled_log_density
@@ -202,6 +203,74 @@ class TestOptimizePoolWeights:
             w = optimize_pool_weights(scores)
             assert isinstance(w, PoolWeights)
             assert math.fsum(w.values.tolist()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stops_with_a_warning_when_iterates_run_out(self):
+        rng = np.random.default_rng(8)
+        scores = rng.normal(-2.0, 1.5, size=(30, 3))
+        with pytest.warns(RuntimeWarning, match=r"duality gap of [0-9.e+-]+ nats"):
+            w, trace = optimize_pool_weights(scores, max_iter=1, return_history=True)
+        assert len(trace) == 2
+        assert math.fsum(w.values.tolist()) == pytest.approx(1.0, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimize_pool_weights(scores)
+
+
+def _independent_gap(scores: np.ndarray, w: np.ndarray) -> float:
+    """log max_k mean_t(A_tk / A_t.w) over the rows some expert scores on."""
+    live = scores[np.any(scores > -np.inf, axis=1)]
+    A = np.exp(live - live.max(axis=1, keepdims=True))
+    return math.log(np.max(np.mean(A / (A @ w)[:, None], axis=0)))
+
+
+@st.composite
+def _score_blocks(draw):
+    """(n, K) log-score blocks with dead entries, dominated and duplicated columns."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 60))
+    cells = st.one_of(
+        st.floats(min_value=-40.0, max_value=5.0), st.just(-np.inf)
+    )
+    scores = np.array(draw(st.lists(cells, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if k > 1:
+        src, dst = draw(st.permutations(range(k)))[:2]
+        shape = draw(st.sampled_from(["as drawn", "duplicated", "dominated"]))
+        if shape == "duplicated":
+            scores[:, dst] = scores[:, src]
+        elif shape == "dominated":
+            scores[:, dst] = scores[:, src] - draw(st.floats(min_value=1e-3, max_value=5.0))
+    return scores
+
+
+_INF = -np.inf
+
+
+@given(_score_blocks())
+@settings(max_examples=300, deadline=None)
+# Blocks on which SQUAREM alone stalled short of the certificate: a
+# degenerate optimum (expert 3's weight tends to 0 with its gradient
+# tending to 1), a non-unique optimum between near-duplicate experts,
+# and a vertex optimum approached with weights far below rounding.
+@example(np.array([[0.0, 0.0, _INF, -1.0, _INF], [_INF, _INF, _INF, 0.0, 0.0],
+                   [-10.0, _INF, 0.0, _INF, -1.0]]))
+@example(np.array([[0.0, 0.0, _INF, _INF, _INF], [_INF] * 5, [_INF] * 5,
+                   [_INF, -22.75, -6.0, _INF, -6.0]]))
+@example(np.array([[_INF] * 4, [0.0, 0.0, _INF, 0.0], [0.5, -13.0, _INF, 0.0],
+                   [_INF, _INF, -6.0, 0.0]]))
+def test_optimizer_is_certified_and_monotone(scores):
+    gap_tol = 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, trace = optimize_pool_weights(scores, gap_tol=gap_tol, return_history=True)
+        plain = optimize_pool_weights(scores, gap_tol=gap_tol)
+    np.testing.assert_array_equal(plain.values, w.values)
+    assert np.all(np.diff(trace) >= 0.0)
+    if not np.any(scores > -np.inf):
+        np.testing.assert_array_equal(w.values, equal_weights(scores.shape[1]).values)
+        return
+    # The gap is recomputed here in another order of operations, so allow
+    # for rounding in the last bits of its logarithm.
+    assert _independent_gap(scores, w.values) <= gap_tol + 1e-14
 
 
 class TestLocalOptWeights:
