@@ -30,7 +30,7 @@ from .evaluation import (
     EvaluationConfig,
     rolling_evaluate,
 )
-from .history import History, PredictionRecord
+from .history import History
 from .io import (
     ScoreCsvError,
     emit_results,
@@ -316,6 +316,7 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
     result = rolling_evaluate(stream, config)
     eval_start = config.warmup_size + config.history_size
     reported = result.candidate_times >= stream.time_indices[eval_start]
+    live = result.live_rows
 
     import csv as _csv
 
@@ -327,8 +328,8 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
         )
         for family, labels in result.candidate_labels.items():
             table = result.candidate_log_scores[family]
-            total_all = table.sum(axis=0)
-            total_rep = table[reported].sum(axis=0)
+            total_all = table[live].sum(axis=0)
+            total_rep = table[live & reported].sum(axis=0)
             for j, label in enumerate(labels):
                 writer.writerow(
                     [family, label, format_real(total_all[j]), format_real(total_rep[j])]
@@ -358,16 +359,9 @@ def _cmd_pool_once(args, settings: _Settings) -> int:
     scaling = parse_scaling_token(
         settings.get(args.scaling, "query", "scaling", "natural")
     )
-    history = History(stream.n_pooling_dims, stream.n_experts)
-    for i in range(stream.n_steps):
-        history.append(
-            PredictionRecord(
-                time_index=int(stream.time_indices[i]),
-                pooling_point=stream.pooling_points[i],
-                outcome=float(stream.outcomes[i]),
-                log_scores=stream.log_scores[i],
-            )
-        )
+    history = History.from_arrays(
+        stream.time_indices, stream.pooling_points, stream.outcomes, stream.log_scores
+    )
     estimate = caliper_elpd(history, point, width)
     names = stream.expert_names
     payload = {

@@ -21,6 +21,7 @@ __all__ = [
     "StudentT",
     "Mixture",
     "pooled_log_density",
+    "student_t_log_pdf",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -115,6 +116,21 @@ class Gaussian(PredictiveDensity):
         return rng.normal(self.mean, self.stddev, size=size)
 
 
+def student_t_log_pdf(z, log_scale, dof: float):
+    """Student-t log density at standardised residuals ``z``, vectorised.
+
+    Callers take ``log_scale`` themselves: ``math.log`` and ``np.log`` can
+    differ in the last bit, and each caller keeps the one it always used.
+    """
+    return (
+        gammaln(0.5 * (dof + 1.0))
+        - gammaln(0.5 * dof)
+        - 0.5 * math.log(dof * math.pi)
+        - log_scale
+        - 0.5 * (dof + 1.0) * np.log1p(z * z / dof)
+    )
+
+
 @dataclass(frozen=True)
 class StudentT(PredictiveDensity):
     """Location-scale Student-t with ``dof`` degrees of freedom."""
@@ -133,17 +149,8 @@ class StudentT(PredictiveDensity):
             raise ValueError(f"dof must be > 0, got {self.dof!r}")
 
     def log_density(self, y):
-        arr = np.asarray(y, dtype=float)
-        nu = self.dof
-        z = (arr - self.location) / self.scale
-        out = (
-            gammaln(0.5 * (nu + 1.0))
-            - gammaln(0.5 * nu)
-            - 0.5 * math.log(nu * math.pi)
-            - math.log(self.scale)
-            - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
-        )
-        return _match_input(y, out)
+        z = (np.asarray(y, dtype=float) - self.location) / self.scale
+        return _match_input(y, student_t_log_pdf(z, math.log(self.scale), self.dof))
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.location + self.scale * rng.standard_t(self.dof, size=size)

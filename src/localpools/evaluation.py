@@ -265,7 +265,8 @@ class EvaluationResult:
     order) and per grid cell, so the selection made at any reported step
     can be re-derived by summing rows strictly before it.  Rows of steps
     on which every expert scored ``-inf`` are kept in the ledger (every
-    cell scores ``-inf`` there) but left out of those sums.
+    cell scores ``-inf`` there) but left out of those sums; ``live_rows``
+    marks the rows that count.
     """
 
     config: EvaluationConfig
@@ -285,6 +286,17 @@ class EvaluationResult:
 
     def cumulative(self) -> dict[str, np.ndarray]:
         return cumulative_scores(self.steps, self.config.schemes)
+
+    @property
+    def live_rows(self) -> np.ndarray:
+        """Mask of the ledger rows that count toward the shadow totals."""
+        return _live_rows(self.history.score_matrix)
+
+
+def _live_rows(log_scores: np.ndarray) -> np.ndarray:
+    # A row where every expert scores -inf scores -inf in every cell: it
+    # cannot rank cells, and summed in it would tie every total at -inf.
+    return np.any(log_scores > -np.inf, axis=1)
 
 
 def select_hyperparameters(candidate_cumulative) -> int:
@@ -367,6 +379,7 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
     cand_times: list[int] = []
     steps: list[StepResult] = []
     eval_start = config.warmup_size + config.history_size
+    live = _live_rows(stream.log_scores)
 
     for t in range(config.warmup_size, T):
         time_index = int(stream.time_indices[t])
@@ -416,10 +429,7 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
                 )
             )
 
-        # A row on which every expert scores -inf scores -inf in every cell
-        # and says nothing about which cell is better: it stays in the
-        # ledger but not in the totals, which would otherwise all tie.
-        if np.any(expert_row > -np.inf):
+        if live[t]:
             for name in families:
                 cand_cum[name] = cand_cum[name] + cand_rows[name][-1]
         cand_times.append(time_index)

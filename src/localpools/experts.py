@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import StudentT
+from .densities import StudentT, student_t_log_pdf
 
 __all__ = [
     "NigPosterior",
@@ -214,14 +214,4 @@ def nig_log_scores(posterior: NigPosterior, X, y) -> np.ndarray:
     )
     scale = np.sqrt(posterior.rate_b / posterior.shape_a * (1.0 + leverage))
     dof = 2.0 * posterior.shape_a
-    # Student-t log pdf, inlined to avoid building n StudentT objects.
-    from scipy.special import gammaln
-
-    z = (yv - location) / scale
-    return (
-        gammaln(0.5 * (dof + 1.0))
-        - gammaln(0.5 * dof)
-        - 0.5 * math.log(dof * math.pi)
-        - np.log(scale)
-        - 0.5 * (dof + 1.0) * np.log1p(z * z / dof)
-    )
+    return student_t_log_pdf((yv - location) / scale, np.log(scale), dof)

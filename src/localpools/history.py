@@ -18,6 +18,9 @@ __all__ = ["PredictionRecord", "History"]
 
 # A pooling dimension that never varies carries no distance information;
 # dividing by its (near-)zero spread would blow every distance up to inf.
+# The spread of a constant column is rounding noise that grows with the
+# column's magnitude, so the threshold is relative to its largest entry
+# (floored at 1).
 _DEGENERATE_STD = 1e-12
 
 
@@ -52,9 +55,12 @@ class PredictionRecord:
 class History:
     """Time-ordered scored predictions with caliper neighbourhood queries.
 
-    Appends must carry strictly increasing ``time_index`` values and a
-    consistent pooling dimension / expert count.  Standardisation moments
-    are cached and recomputed only after the history has grown.
+    Records are held as four read-only arrays (times, pooling points,
+    outcomes, expert scores).  Growth replaces them with longer fresh
+    arrays, so an array read earlier never changes.  Appends must carry
+    strictly increasing ``time_index`` values and a consistent pooling
+    dimension / expert count.  Standardisation moments are recomputed
+    whenever the history grows.
     """
 
     def __init__(self, n_pooling_dims: int, n_experts: int) -> None:
@@ -64,54 +70,78 @@ class History:
             raise ValueError("need at least one expert")
         self._n_dims = int(n_pooling_dims)
         self._n_experts = int(n_experts)
-        self._times: list[int] = []
-        self._points: list[np.ndarray] = []
-        self._outcomes: list[float] = []
-        self._scores: list[np.ndarray] = []
-        self._stats_version = -1
-        self._cached_points: np.ndarray | None = None
-        self._cached_scores: np.ndarray | None = None
-        self._mean: np.ndarray | None = None
-        self._std: np.ndarray | None = None
+        self._times = np.empty(0, dtype=int)
+        self._points = np.empty((0, self._n_dims))
+        self._outcomes = np.empty(0)
+        self._scores = np.empty((0, self._n_experts))
+        self._mean = np.zeros(self._n_dims)
+        self._std = np.ones(self._n_dims)
 
     # -- growth -------------------------------------------------------
 
     def append(self, record: PredictionRecord) -> None:
-        if record.pooling_point.size != self._n_dims:
-            raise ValueError(
-                f"pooling point has {record.pooling_point.size} dims, history expects {self._n_dims}"
-            )
-        if record.log_scores.size != self._n_experts:
-            raise ValueError(
-                f"record scores {record.log_scores.size} experts, history expects {self._n_experts}"
-            )
-        if self._times and record.time_index <= self._times[-1]:
-            raise ValueError(
-                f"time_index {record.time_index} not after last recorded {self._times[-1]}"
-            )
-        self._times.append(record.time_index)
-        self._points.append(record.pooling_point)
-        self._outcomes.append(record.outcome)
-        self._scores.append(record.log_scores)
-
-    def extend(self, records) -> None:
-        for record in records:
-            self.append(record)
+        self._add_block(
+            np.array([record.time_index]),
+            record.pooling_point[None, :],
+            np.array([record.outcome]),
+            record.log_scores[None, :],
+        )
 
     @classmethod
-    def from_records(cls, records) -> "History":
-        records = list(records)
-        if not records:
-            raise ValueError("cannot infer dimensions from an empty record list")
-        first = records[0]
-        out = cls(first.pooling_point.size, first.log_scores.size)
-        out.extend(records)
+    def from_arrays(cls, times, points, outcomes, scores) -> "History":
+        """A history holding one block of records, row ``i`` being record ``i``.
+
+        ``points`` is (n, d) and ``scores`` is (n, K); the block is checked
+        with the rules and messages of ``PredictionRecord`` and ``append``.
+        """
+        times = np.asarray(times, dtype=int).reshape(-1)
+        points = np.asarray(points, dtype=float)
+        outcomes = np.asarray(outcomes, dtype=float).reshape(-1)
+        scores = np.asarray(scores, dtype=float)
+        if points.ndim != 2 or scores.ndim != 2:
+            raise ValueError("points and scores must be 2-D, one row per record")
+        if times.size == 0:
+            raise ValueError("cannot build a history from an empty block")
+        if not (points.shape[0] == outcomes.size == scores.shape[0] == times.size):
+            raise ValueError("times, points, outcomes and scores need one row per record")
+        out = cls(points.shape[1], scores.shape[1])
+        out._add_block(times, points, outcomes, scores)
         return out
+
+    def _add_block(self, times, points, outcomes, scores) -> None:
+        """Validate rows of equal count and append them; every growth ends here."""
+        if points.shape[1] != self._n_dims:
+            raise ValueError(
+                f"pooling point has {points.shape[1]} dims, history expects {self._n_dims}"
+            )
+        if scores.shape[1] != self._n_experts:
+            raise ValueError(
+                f"record scores {scores.shape[1]} experts, history expects {self._n_experts}"
+            )
+        if not np.all(np.isfinite(points)):
+            raise ValueError("pooling_point must be finite")
+        if np.any(np.isnan(scores)) or np.any(scores == np.inf):
+            raise ValueError("log_scores must be NaN-free and below +inf")
+        ordered = np.concatenate([self._times[-1:], times])
+        late = np.nonzero(np.diff(ordered) <= 0)[0]
+        if late.size:
+            t, last = ordered[late[0] + 1], ordered[late[0]]
+            raise ValueError(f"time_index {t} not after last recorded {last}")
+        self._times = np.concatenate([self._times, times])
+        self._points = np.concatenate([self._points, points])
+        self._outcomes = np.concatenate([self._outcomes, outcomes])
+        self._scores = np.concatenate([self._scores, scores])
+        for array in (self._times, self._points, self._outcomes, self._scores):
+            array.flags.writeable = False
+        self._mean = self._points.mean(axis=0)
+        std = self._points.std(axis=0)
+        magnitude = np.maximum(np.abs(self._points).max(axis=0), 1.0)
+        self._std = np.where(std < _DEGENERATE_STD * magnitude, 1.0, std)
 
     # -- views --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._times.size
 
     @property
     def n_pooling_dims(self) -> int:
@@ -123,54 +153,30 @@ class History:
 
     @property
     def time_indices(self) -> np.ndarray:
-        return np.array(self._times, dtype=int)
+        return self._times
 
     @property
     def pooling_points(self) -> np.ndarray:
-        """(n, d) matrix of pooling points, rebuilt lazily."""
-        self._refresh_cache()
-        assert self._cached_points is not None
-        return self._cached_points
+        """(n, d) read-only matrix of pooling points."""
+        return self._points
 
     @property
     def score_matrix(self) -> np.ndarray:
-        """(n, K) matrix of realised expert log scores."""
-        self._refresh_cache()
-        assert self._cached_scores is not None
-        return self._cached_scores
+        """(n, K) read-only matrix of realised expert log scores."""
+        return self._scores
 
     @property
     def outcomes(self) -> np.ndarray:
-        return np.array(self._outcomes, dtype=float)
+        return self._outcomes
 
     # -- standardisation and neighbourhoods ----------------------------
 
-    def _refresh_cache(self) -> None:
-        if self._stats_version == len(self._times):
-            return
-        points = np.array(self._points, dtype=float).reshape(len(self._times), self._n_dims)
-        scores = np.array(self._scores, dtype=float).reshape(len(self._times), self._n_experts)
-        mean = points.mean(axis=0) if len(self._times) else np.zeros(self._n_dims)
-        std = points.std(axis=0) if len(self._times) else np.ones(self._n_dims)
-        std = np.where(std < _DEGENERATE_STD, 1.0, std)
-        points.flags.writeable = False
-        scores.flags.writeable = False
-        self._cached_points = points
-        self._cached_scores = scores
-        self._mean = mean
-        self._std = std
-        self._stats_version = len(self._times)
-
     @property
     def standardizing_mean(self) -> np.ndarray:
-        self._refresh_cache()
-        assert self._mean is not None
         return self._mean.copy()
 
     @property
     def standardizing_std(self) -> np.ndarray:
-        self._refresh_cache()
-        assert self._std is not None
         return self._std.copy()
 
     def standardize(self, point) -> np.ndarray:
@@ -178,16 +184,13 @@ class History:
         z = np.asarray(point, dtype=float).reshape(-1)
         if z.size != self._n_dims:
             raise ValueError(f"point has {z.size} dims, history expects {self._n_dims}")
-        self._refresh_cache()
-        assert self._mean is not None and self._std is not None
         return (z - self._mean) / self._std
 
     def distances(self, point) -> np.ndarray:
         """Standardised Euclidean distance from ``point`` to every record."""
-        if len(self._times) == 0:
+        if len(self) == 0:
             return np.empty(0)
         target = self.standardize(point)
-        assert self._mean is not None and self._std is not None
         standardized = (self.pooling_points - self._mean) / self._std
         return np.sqrt(np.sum((standardized - target) ** 2, axis=1))
 
@@ -198,6 +201,6 @@ class History:
         """
         if not (width >= 0.0):
             raise ValueError(f"caliper width must be nonnegative, got {width!r}")
-        if len(self._times) == 0:
+        if len(self) == 0:
             return np.empty(0, dtype=int)
         return np.nonzero(self.distances(point) <= width)[0]

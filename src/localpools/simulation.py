@@ -42,7 +42,7 @@ from .experts import (
     nig_predictive,
     nig_update,
 )
-from .history import History, PredictionRecord
+from .history import History
 from .local_elpd import LocalElpdEstimate, caliper_elpd, true_local_elpd
 from .pools import NATURAL, softmax_weights
 
@@ -201,17 +201,8 @@ def _fit_and_score_split(
         held_scores[:, k] = nig_log_scores(
             posterior, design_matrix(posterior, x_held), y_held
         )
-    history = History(data.covariates.shape[1], len(names))
-    for i in range(x_held.shape[0]):
-        history.append(
-            PredictionRecord(
-                time_index=train_size + i,
-                pooling_point=x_held[i],
-                outcome=float(y_held[i]),
-                log_scores=held_scores[i],
-            )
-        )
-    return fitted, history
+    times = np.arange(train_size, train_size + x_held.shape[0])
+    return fitted, History.from_arrays(times, x_held, y_held, held_scores)
 
 
 def _replication_seeds(seed: int, replications: int) -> list[np.random.SeedSequence]:

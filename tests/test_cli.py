@@ -1,23 +1,27 @@
 """End-to-end command-line checks, run in process through ``main``."""
 from __future__ import annotations
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from localpools.cli import main
-from localpools.evaluation import EvaluationStream
+from localpools.evaluation import EvaluationConfig, EvaluationStream, rolling_evaluate
 from localpools.history import History, PredictionRecord
 from localpools.io import load_score_csv, write_score_csv
 from localpools.local_elpd import caliper_elpd
 from localpools.pools import (
     NATURAL,
+    FixedScaling,
     equal_weights,
     local_opt_weights,
     optimize_pool_weights,
     softmax_weights,
 )
+from localpools.simulation import DgpConfig, generate_dgp, nig_evaluation_stream
 
 EVAL_ARGS = [
     "--simulate",
@@ -94,6 +98,46 @@ def test_gridsearch(tmp_path):
     assert len(lines) == 1 + 4 + 2
     families = {line.split(",")[0] for line in lines[1:]}
     assert families == {"local_softmax", "local_opt"}
+
+
+def test_gridsearch_leaves_dead_rows_out_of_the_totals(tmp_path, capsys):
+    base = nig_evaluation_stream(generate_dgp(DgpConfig(sample_size=400, seed=3)))
+    scores = base.log_scores.copy()
+    scores[150] = -np.inf  # every expert dead on one row
+    path = write_score_csv(
+        tmp_path / "scores.csv",
+        EvaluationStream(base.pooling_points, base.outcomes, scores, base.expert_names),
+    )
+    out = tmp_path / "grid"
+    flags = ["--warmup", "50", "--history", "50", "--widths", "0.5,1,inf", "--scalings", "1,natural"]
+    assert main(["gridsearch", "--scores", str(path), *flags, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    with open(out / "gridsearch.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    stream = load_score_csv(path)
+    config = EvaluationConfig(
+        warmup_size=50,
+        history_size=50,
+        width_grid=(0.5, 1.0, math.inf),
+        scaling_grid=(FixedScaling(1.0), NATURAL),
+    )
+    result = rolling_evaluate(stream, config)
+    live = np.any(stream.log_scores[50:] > -np.inf, axis=1)
+    reported = result.candidate_times >= 100
+    assert live.sum() == live.size - 1
+    np.testing.assert_array_equal(result.live_rows, live)
+    for family, labels in result.candidate_labels.items():
+        table = result.candidate_log_scores[family]
+        written = [row for row in rows if row["family"] == family]
+        assert [row["cell"] for row in written] == list(labels)
+        total_all = np.array([float(row["shadow_total_all"]) for row in written])
+        total_rep = np.array([float(row["shadow_total_reported"]) for row in written])
+        assert np.all(np.isfinite(total_all)) and np.all(np.isfinite(total_rep))
+        np.testing.assert_array_equal(total_all, table[live].sum(axis=0))
+        np.testing.assert_array_equal(total_rep, table[live & reported].sum(axis=0))
+        best = labels[int(np.argmax(total_all))]
+        assert f"{family}: best cell by shadow total is {best}" in stdout
 
 
 def test_pool_once_to_file(tmp_path):

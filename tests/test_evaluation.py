@@ -444,14 +444,9 @@ class TestSoftmaxGlobalLimit:
 
 
 def _history_from(stream, upto):
-    h = History(stream.n_pooling_dims, stream.n_experts)
-    for t in range(upto):
-        h.append(
-            PredictionRecord(
-                time_index=int(stream.time_indices[t]),
-                pooling_point=stream.pooling_points[t],
-                outcome=float(stream.outcomes[t]),
-                log_scores=stream.log_scores[t],
-            )
-        )
-    return h
+    return History.from_arrays(
+        stream.time_indices[:upto],
+        stream.pooling_points[:upto],
+        stream.outcomes[:upto],
+        stream.log_scores[:upto],
+    )

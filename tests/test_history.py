@@ -67,12 +67,68 @@ class TestAppend:
         with pytest.raises(ValueError):
             h.append(_record(0, (1.0, 2.0), (0.0,)))
 
-    def test_from_records_roundtrip(self):
-        records = [_record(t, (t, -t), (-t, 0.0)) for t in range(4)]
-        h = History.from_records(records)
+
+
+class TestFromArrays:
+    def test_from_arrays_roundtrip(self):
+        t = np.arange(4)
+        points = np.column_stack([t, -t]).astype(float)
+        scores = np.column_stack([-t, np.zeros(4)]).astype(float)
+        h = History.from_arrays(t, points, 0.5 * t, scores)
         assert len(h) == 4
-        with pytest.raises(ValueError):
-            History.from_records([])
+        assert (h.n_pooling_dims, h.n_experts) == (2, 2)
+        np.testing.assert_array_equal(h.time_indices, t)
+        np.testing.assert_array_equal(h.pooling_points, points)
+        np.testing.assert_array_equal(h.outcomes, 0.5 * t)
+        np.testing.assert_array_equal(h.score_matrix, scores)
+        # the history owns copies: the caller's arrays can change freely
+        points[0, 0] = 99.0
+        assert h.pooling_points[0, 0] == 0.0
+        with pytest.raises(ValueError, match="cannot build a history from an empty block"):
+            History.from_arrays([], np.empty((0, 2)), [], np.empty((0, 2)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda b: b["points"].__setitem__((1, 0), np.inf),
+                         "pooling_point must be finite", id="inf-point"),
+            pytest.param(lambda b: b["points"].__setitem__((1, 1), np.nan),
+                         "pooling_point must be finite", id="nan-point"),
+            pytest.param(lambda b: b["scores"].__setitem__((2, 0), np.nan),
+                         "log_scores must be NaN-free", id="nan-score"),
+            pytest.param(lambda b: b["scores"].__setitem__((2, 1), np.inf),
+                         "log_scores must be NaN-free", id="plus-inf-score"),
+            pytest.param(lambda b: b["times"].__setitem__(2, 1),
+                         "time_index 1 not after last recorded 1", id="repeated-time"),
+            pytest.param(lambda b: b["times"].__setitem__(2, 0),
+                         "time_index 0 not after last recorded 1", id="decreasing-time"),
+            pytest.param(lambda b: b.update(points=b["points"][:, 0]), "2-D", id="1-d-points"),
+            pytest.param(lambda b: b.update(scores=b["scores"][:2]),
+                         "one row per record", id="short-scores"),
+            pytest.param(lambda b: b.update(outcomes=b["outcomes"][:2]),
+                         "one row per record", id="short-outcomes"),
+        ],
+    )
+    def test_rejects_bad_blocks(self, edit, message):
+        block = {
+            "times": np.arange(3),
+            "points": np.zeros((3, 2)),
+            "outcomes": np.zeros(3),
+            "scores": np.full((3, 2), -1.0),
+        }
+        edit(block)
+        with pytest.raises(ValueError, match=message):
+            History.from_arrays(**block)
+
+    def test_later_growth_keeps_append_checks(self):
+        h = History.from_arrays([0, 1], np.zeros((2, 2)), [0.0, 0.0], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="pooling point has 1 dims, history expects 2"):
+            h.append(_record(2, (1.0,), (0.0, 0.0)))
+        with pytest.raises(ValueError, match="record scores 1 experts, history expects 2"):
+            h.append(_record(2, (1.0, 2.0), (0.0,)))
+        with pytest.raises(ValueError, match="time_index 1 not after last recorded 1"):
+            h.append(_record(1, (1.0, 2.0), (0.0, 0.0)))
+        assert len(h) == 2
 
 
 class TestStandardization:
@@ -100,6 +156,14 @@ class TestStandardization:
             / h.standardizing_std[1]
         )
         np.testing.assert_allclose(d, manual)
+        # np.std of a constant column is rounding noise that grows with the
+        # constant: exactly 0 at 3.3, about 1e-9 at 1e6 + 0.1.
+        t = np.arange(100)
+        for constant in (3.3, 1e6 + 0.1):
+            points = np.column_stack([np.full(100, constant), 0.01 * t])
+            h = History.from_arrays(t, points, np.zeros(100), np.full((100, 1), -1.0))
+            assert h.standardizing_std[0] == 1.0
+            assert h.caliper_neighbors((constant + 0.5, 0.5), 1.0).size == 49
 
     def test_stats_refresh_after_growth(self):
         h = History(1, 1)
@@ -176,3 +240,69 @@ def test_neighbor_sets_grow_with_width(points, width, extra):
     narrow = set(h.caliper_neighbors(q, width).tolist())
     wide = set(h.caliper_neighbors(q, width + extra).tolist())
     assert narrow <= wide
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _blocks(draw):
+    """A block of n <= 60 records with repeated points, -inf scores and,
+    sometimes, a constant pooling dimension, plus a query point."""
+    n, d, k = draw(st.integers(1, 60)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    coord = st.floats(min_value=-50, max_value=50)
+    distinct = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=distinct, max_size=distinct))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    points = np.array(rows)[picks]
+    if draw(st.booleans()):
+        column = draw(st.integers(0, d - 1))
+        points[:, column] = draw(st.sampled_from([0.0, 3.3, -7.25, 1e6 + 0.1]))
+    score = st.one_of(st.floats(min_value=-40, max_value=5), st.just(-np.inf))
+    scores = np.array(draw(st.lists(st.lists(score, min_size=k, max_size=k), min_size=n, max_size=n)))
+    times = draw(st.integers(-10, 10)) + np.cumsum(
+        draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    )
+    outcomes = np.array(draw(st.lists(st.floats(min_value=-10, max_value=10), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        query = points[draw(st.integers(0, n - 1))]
+    else:
+        query = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    return times, points, outcomes, scores, query
+
+
+@given(_blocks(), st.floats(min_value=0, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_from_arrays_matches_appending_row_by_row(block, width):
+    """One block and the same rows appended one by one give the same bits,
+    and an array read before later appends never changes."""
+    times, points, outcomes, scores, query = block
+    whole = History.from_arrays(times, points, outcomes, scores)
+    grown = History(points.shape[1], scores.shape[1])
+    read = []
+    for i in range(len(times)):
+        grown.append(_record(times[i], points[i], scores[i], y=outcomes[i]))
+        views = (grown.time_indices, grown.pooling_points, grown.outcomes, grown.score_matrix)
+        read.append((views, [view.copy() for view in views]))
+    for views, copies in read:
+        for view, copy in zip(views, copies):
+            assert not view.flags.writeable
+            assert _same_bits(view, copy)
+    pairs = [
+        (whole.time_indices, grown.time_indices),
+        (whole.pooling_points, grown.pooling_points),
+        (whole.outcomes, grown.outcomes),
+        (whole.score_matrix, grown.score_matrix),
+        (whole.standardizing_mean, grown.standardizing_mean),
+        (whole.standardizing_std, grown.standardizing_std),
+        (whole.distances(query), grown.distances(query)),
+    ]
+    pairs += [
+        (whole.caliper_neighbors(query, w), grown.caliper_neighbors(query, w))
+        for w in (0.0, width, np.inf)
+    ]
+    for a, b in pairs:
+        assert _same_bits(a, b)
+    assert whole.caliper_neighbors(query, np.inf).size == len(times)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from localpools.densities import Gaussian, StudentT
-from localpools.history import History, PredictionRecord
+from localpools.history import History
 from localpools.local_elpd import LocalElpdEstimate, caliper_elpd, true_local_elpd
 from localpools.simulation import DgpConfig
 from oracles import expected_log_score_quad
@@ -16,17 +16,8 @@ PERFECT_GAUSSIAN_ELPD = -1.4189385332046727
 
 
 def _history_with(points, score_rows):
-    h = History(len(points[0]), len(score_rows[0]))
-    for t, (p, s) in enumerate(zip(points, score_rows)):
-        h.append(
-            PredictionRecord(
-                time_index=t,
-                pooling_point=np.asarray(p, dtype=float),
-                outcome=0.0,
-                log_scores=np.asarray(s, dtype=float),
-            )
-        )
-    return h
+    n = len(points)
+    return History.from_arrays(np.arange(n), points, np.zeros(n), score_rows)
 
 
 class TestEstimateContainer:

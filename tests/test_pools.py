@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localpools.densities import Gaussian, Mixture, PoolWeights, pooled_log_density
-from localpools.history import History, PredictionRecord
+from localpools.history import History
 from localpools.local_elpd import LocalElpdEstimate
 from localpools.pools import (
     NATURAL,
@@ -275,27 +275,11 @@ def test_optimizer_is_certified_and_monotone(scores):
 
 class TestLocalOptWeights:
     def _history(self):
-        h = History(1, 2)
         # left region: expert 1 dominates; right region: expert 2 dominates
-        for t in range(10):
-            h.append(
-                PredictionRecord(
-                    time_index=t,
-                    pooling_point=np.array([-2.0 + 0.1 * t]),
-                    outcome=0.0,
-                    log_scores=np.array([-1.0, -4.0]),
-                )
-            )
-        for t in range(10, 20):
-            h.append(
-                PredictionRecord(
-                    time_index=t,
-                    pooling_point=np.array([2.0 + 0.1 * (t - 10)]),
-                    outcome=0.0,
-                    log_scores=np.array([-4.0, -1.0]),
-                )
-            )
-        return h
+        offsets = 0.1 * np.arange(10)
+        points = np.concatenate([-2.0 + offsets, 2.0 + offsets])[:, None]
+        scores = np.repeat([[-1.0, -4.0], [-4.0, -1.0]], 10, axis=0)
+        return History.from_arrays(np.arange(20), points, np.zeros(20), scores)
 
     def test_empty_caliper_gives_equal(self):
         h = self._history()
