@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .densities import PoolWeights
 from .evaluation import (
     ALL_SCHEMES,
     DEFAULT_SCALING_GRID,
@@ -45,7 +46,7 @@ from .io import (
     write_pool_study_csv,
     write_score_csv,
 )
-from .local_elpd import caliper_elpd
+from .pools import PoolQuery
 from .simulation import (
     DEFAULT_ERROR_WIDTHS,
     DEFAULT_POOL_SCHEMES,
@@ -362,18 +363,17 @@ def _cmd_pool_once(args, settings: _Settings) -> int:
     history = History.from_arrays(
         stream.time_indices, stream.pooling_points, stream.outcomes, stream.log_scores
     )
-    estimate = caliper_elpd(history, point, width)
+    query = PoolQuery(history, point, (width,), (scaling,))
+    neighbors, estimates = query.calipers
     names = stream.expert_names
     payload = {
         "query_point": [float(v) for v in point],
         "width": float(width),
         "scaling": scaling.label(),
-        "neighbor_count": estimate.neighbor_count,
-        "local_estimates": dict(zip(names, map(float, estimate.estimates))),
+        "neighbor_count": neighbors[0].size,
+        "local_estimates": dict(zip(names, map(float, estimates[0]))),
         "weights": {
-            scheme: dict(
-                zip(names, map(float, entry.weights(history, point, width, scaling).values))
-            )
+            scheme: dict(zip(names, map(float, PoolWeights(entry.grid(query)[0]).values)))
             for scheme, entry in SCHEMES.items()
         },
     }

@@ -16,11 +16,13 @@ from scipy.special import gammaln
 
 __all__ = [
     "PoolWeights",
+    "check_simplex_rows",
     "PredictiveDensity",
     "Gaussian",
     "StudentT",
     "Mixture",
     "pooled_log_density",
+    "pooled_rows",
     "student_t_log_pdf",
 ]
 
@@ -45,15 +47,7 @@ class PoolWeights:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("weights must form a nonempty 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("weights must be finite")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("each weight must lie in [0, 1]")
-        total = math.fsum(values.tolist())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(
-                f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {total!r}"
-            )
+        check_simplex_rows(values[None, :])
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -65,6 +59,25 @@ class PoolWeights:
 
     def __getitem__(self, index):
         return self.values[index]
+
+
+def check_simplex_rows(rows: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every row of a 2-D array is a simplex point.
+
+    A row must be finite, lie entrywise in [0, 1] and sum to one within
+    ``WEIGHT_SUM_TOL``.  ``PoolWeights`` checks its vector here as a row of
+    one; the evaluation harness checks every grid cell of a step at once.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("weights must be finite")
+    if np.any(rows < 0.0) or np.any(rows > 1.0):
+        raise ValueError("each weight must lie in [0, 1]")
+    totals = rows.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > WEIGHT_SUM_TOL)
+    if off.size:
+        raise ValueError(
+            f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {float(totals[off[0]])!r}"
+        )
 
 
 class PredictiveDensity:
@@ -184,7 +197,7 @@ class Mixture(PredictiveDensity):
         stacked = np.stack(
             [np.atleast_1d(self.components[k].log_density(arr)) for k in active]
         )
-        out = _weighted_logsumexp(w[active], stacked)
+        out = pooled_rows(w[active], stacked.T)
         if np.ndim(y) == 0:
             return float(out[0])
         return out
@@ -205,28 +218,26 @@ class Mixture(PredictiveDensity):
         return out
 
 
-def _weighted_logsumexp(weights: np.ndarray, log_values: np.ndarray) -> np.ndarray:
-    """log(sum_k w_k exp(lp_k) / sum_k w_k) along axis 0, max-subtracted.
+def pooled_rows(weights: np.ndarray, log_scores: np.ndarray) -> np.ndarray:
+    """``log(sum_k w_k exp(lp_k) / sum_k w_k)`` for each row, unchecked.
 
-    ``log_values`` has shape (K,) or (K, n); entries may be ``-inf`` (zero
-    density) but not NaN or ``+inf``.  Dividing by the weight sum (== 1 up to
-    float noise by the simplex contract) makes the combination of identical
-    log values exact: if every lp_k equals c the result is exactly c.
+    ``weights`` and ``log_scores`` broadcast to (rows, K): one weight
+    vector against many score rows, or one score row against many weight
+    vectors.  The row maximum and both sums run over the positive weights
+    only: a zero weight is masked to ``-inf`` before the maximum, so an
+    expert the pool ignores cannot set the shift (and underflow the
+    others' terms to 0), and it adds an exact 0 to each sum.  A row whose
+    weighted experts all score ``-inf`` pools to ``-inf``.  Dividing by
+    the weight sum (one up to rounding) makes a row of identical log
+    values ``c`` come back as exactly ``c``.
     """
-    m = np.max(log_values, axis=0)
-    w_total = np.sum(weights)
-    if log_values.ndim == 1:
-        if m == -np.inf:
-            return np.float64(-np.inf)
-        s = np.sum(weights * np.exp(log_values - m))
-        return m + (np.log(s) - np.log(w_total))
-    out = np.full(m.shape, -np.inf)
-    ok = m > -np.inf
-    if np.any(ok):
-        shifted = log_values[:, ok] - m[ok]
-        s = np.sum(weights[:, None] * np.exp(shifted), axis=0)
-        out[ok] = m[ok] + (np.log(s) - np.log(w_total))
-    return out
+    w, lp = np.broadcast_arrays(weights, log_scores)
+    lp = np.where(w > 0.0, lp, -np.inf)
+    top = lp.max(axis=1)
+    shift = np.where(top > -np.inf, top, 0.0)
+    with np.errstate(divide="ignore"):  # log(0) on rows that pool to -inf
+        total = (w * np.exp(lp - shift[:, None])).sum(axis=1)
+        return top + (np.log(total) - np.log(w.sum(axis=1)))
 
 
 def pooled_log_density(weights: PoolWeights, expert_log_densities) -> float:
@@ -260,5 +271,4 @@ def pooled_log_density(weights: PoolWeights, expert_log_densities) -> float:
         raise ValueError("log densities must not be NaN")
     if np.any(lp == np.inf):
         raise ValueError("log densities must not be +inf")
-    active = weights.values > 0.0
-    return float(_weighted_logsumexp(weights.values[active], lp[active]))
+    return float(pooled_rows(weights.values, lp[None, :])[0])

@@ -14,13 +14,19 @@ The stream is split into three consecutive batches:
 * evaluation — full per-step results.
 
 Every scheme is one entry of ``SCHEMES``: the hyperparameter axes it
-takes from the config and the function that turns a history into its
-weights.  Schemes with hyperparameters pick them afresh at every reported
-step by running one shadow pool per grid cell over the whole scored
-stretch and selecting the cell whose *own* cumulative log score so far is
-highest (ties fall to the earlier grid entry).  The reported weights and
-score are that cell's shadow entry for the step.  Each shadow pool keeps
-its own frozen trajectory; past shadow scores are never revised.
+takes from the config and the rule that turns the history into the
+weights of every grid cell at a point.  Schemes with hyperparameters pick
+them afresh at every reported step by running one shadow pool per grid
+cell over the whole scored stretch and selecting the cell whose *own*
+cumulative log score so far is highest (ties fall to the earlier grid
+entry).  The reported weights and score are that cell's shadow entry for
+the step.  Each shadow pool keeps its own frozen trajectory; past shadow
+scores are never revised.
+
+All cells of a step come from one pass: one ``PoolQuery`` shares the
+caliper distances and the optimizer fits among the schemes, every cell
+is checked on the simplex at once, and one log-sum-exp pools them all
+against the step's expert scores.
 """
 
 from __future__ import annotations
@@ -31,18 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import PoolWeights
+from .densities import PoolWeights, check_simplex_rows, pooled_rows
 from .history import History, PredictionRecord
-from .local_elpd import caliper_elpd
-from .pools import (
-    NATURAL,
-    FixedScaling,
-    equal_weights,
-    local_opt_weights,
-    optimize_pool_weights,
-    pooled_log_scores,
-    softmax_weights,
-)
+from .pools import NATURAL, FixedScaling, PoolQuery
 
 __all__ = [
     "SCHEME_LOCAL_SOFTMAX",
@@ -85,42 +82,25 @@ class Scheme:
 
     ``axes`` names the hyperparameters the scheme takes, a subset of
     ``("width", "scaling")`` read from the config's ``width_grid`` and
-    ``scaling_grid``.  ``weights(history, point, width, scaling)`` builds
-    the pool weights from the history alone and reads only the axes the
-    scheme takes.  A scheme without a width axis has no caliper, so its
-    weights do not depend on the point either.
+    ``scaling_grid``.  ``grid(query)`` builds the weights of every cell
+    of those axes at the query's point from its history alone, as a
+    (cells, K) array laid out width-major; a scheme without axes has one
+    cell.  A scheme without a width axis has no caliper, so its weights
+    do not depend on the point either.
     """
 
     axes: tuple[str, ...]
-    weights: Callable[..., PoolWeights]
+    grid: Callable[[PoolQuery], np.ndarray]
 
 
-# The weight rules call the pool builders through this module's globals,
-# never through stored function objects, so wrapping a builder from
-# outside (as the benchmark's tracer does) reaches every scheme.
-def _local_softmax(history: History, point, width, scaling) -> PoolWeights:
-    return softmax_weights(caliper_elpd(history, point, width), scaling)
-
-
-def _equal(history: History, point, width, scaling) -> PoolWeights:
-    return equal_weights(history.n_experts)
-
-
-def _global_opt(history: History, point, width, scaling) -> PoolWeights:
-    if len(history) == 0:
-        return equal_weights(history.n_experts)
-    return optimize_pool_weights(history.score_matrix)
-
-
-def _local_opt(history: History, point, width, scaling) -> PoolWeights:
-    return local_opt_weights(history, point, width)
-
-
+# The rules reach the optimizer and the caliper routine through the pools
+# module's globals, so wrapping either from outside (as the benchmark's
+# tracer does) reaches every scheme.
 SCHEMES = {
-    SCHEME_LOCAL_SOFTMAX: Scheme(("width", "scaling"), _local_softmax),
-    SCHEME_EQUAL: Scheme((), _equal),
-    SCHEME_GLOBAL_OPT: Scheme((), _global_opt),
-    SCHEME_LOCAL_OPT: Scheme(("width",), _local_opt),
+    SCHEME_LOCAL_SOFTMAX: Scheme(("width", "scaling"), PoolQuery.softmax),
+    SCHEME_EQUAL: Scheme((), PoolQuery.equal),
+    SCHEME_GLOBAL_OPT: Scheme((), PoolQuery.global_opt),
+    SCHEME_LOCAL_OPT: Scheme(("width",), PoolQuery.local_opt),
 }
 ALL_SCHEMES = tuple(SCHEMES)
 
@@ -339,8 +319,15 @@ def _cell_label(width, scaling) -> str:
     return ",".join(parts)
 
 
-def _pooled_score(weights: PoolWeights, expert_row: np.ndarray) -> float:
-    return float(pooled_log_scores(weights, expert_row[None, :])[0])
+def _pool_cells(grids: dict[str, np.ndarray], expert_row: np.ndarray) -> dict[str, np.ndarray]:
+    """Check every cell of a step on the simplex and pool them all in one pass."""
+    if not grids:
+        return {}
+    cells = np.concatenate(list(grids.values()))
+    check_simplex_rows(cells)
+    scores = pooled_rows(cells, expert_row)
+    ends = np.cumsum([len(grid) for grid in grids.values()])
+    return dict(zip(grids, np.split(scores, ends[:-1])))
 
 
 def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> EvaluationResult:
@@ -386,36 +373,39 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
         z = stream.pooling_points[t]
         outcome = float(stream.outcomes[t])
         expert_row = stream.log_scores[t]
+        reporting = t >= eval_start
 
         # Shadow pools are scored at every non-warmup step, including the
         # history batch, so selection has something to go on when
-        # reporting starts.  Scored strictly before the record lands.
-        shadow: dict[str, list[PoolWeights]] = {}
-        for name, cells in families.items():
-            shadow[name] = [SCHEMES[name].weights(history, z, *cell) for cell in cells]
-            cand_rows[name].append(
-                np.array([_pooled_score(w, expert_row) for w in shadow[name]])
-            )
+        # reporting starts.  Scored strictly before the record lands.  All
+        # cells of the step share one query, one check and one pooling pass.
+        query = PoolQuery(history, z, config.width_grid, config.scaling_grid)
+        grids = {
+            scheme: SCHEMES[scheme].grid(query)
+            for scheme in schemes
+            if reporting or scheme in families
+        }
+        shadow = _pool_cells(grids, expert_row)
+        for name in families:
+            cand_rows[name].append(shadow[name])
 
-        if t >= eval_start:
+        if reporting:
             weights: dict[str, PoolWeights] = {}
             pooled: dict[str, float] = {}
             chosen_width: dict[str, float] = {}
             chosen_scaling: dict[str, str] = {}
-            for scheme in schemes:
-                if scheme not in families:
-                    weights[scheme] = SCHEMES[scheme].weights(history, z, None, None)
-                    pooled[scheme] = _pooled_score(weights[scheme], expert_row)
-                    continue
-                # Selection sees the cumulative totals before this step's row.
-                pick = select_hyperparameters(cand_cum[scheme])
-                width, scaling = families[scheme][pick]
-                if width is not None:
-                    chosen_width[scheme] = width
-                if scaling is not None:
-                    chosen_scaling[scheme] = scaling.label()
-                weights[scheme] = shadow[scheme][pick]
-                pooled[scheme] = float(cand_rows[scheme][-1][pick])
+            for scheme, grid in grids.items():
+                pick = 0
+                if scheme in families:
+                    # Selection sees the cumulative totals before this step's row.
+                    pick = select_hyperparameters(cand_cum[scheme])
+                    width, scaling = families[scheme][pick]
+                    if width is not None:
+                        chosen_width[scheme] = width
+                    if scaling is not None:
+                        chosen_scaling[scheme] = scaling.label()
+                weights[scheme] = PoolWeights(grid[pick])
+                pooled[scheme] = float(shadow[scheme][pick])
             steps.append(
                 StepResult(
                     time_index=time_index,

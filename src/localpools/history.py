@@ -76,11 +76,20 @@ class History:
         self._scores = np.empty((0, self._n_experts))
         self._mean = np.zeros(self._n_dims)
         self._std = np.ones(self._n_dims)
+        # Largest magnitude per column (floored at 1), kept as a running max.
+        self._magnitude = np.ones(self._n_dims)
 
     # -- growth -------------------------------------------------------
 
     def append(self, record: PredictionRecord) -> None:
-        self._add_block(
+        # ``PredictionRecord`` has checked the values; only the fit to this
+        # history and the time order are left to check.
+        self._check_shape(record.pooling_point.size, record.log_scores.size)
+        if self._times.size and record.time_index <= self._times[-1]:
+            raise ValueError(
+                f"time_index {record.time_index} not after last recorded {self._times[-1]}"
+            )
+        self._grow(
             np.array([record.time_index]),
             record.pooling_point[None, :],
             np.array([record.outcome]),
@@ -108,16 +117,17 @@ class History:
         out._add_block(times, points, outcomes, scores)
         return out
 
+    def _check_shape(self, n_dims: int, n_experts: int) -> None:
+        if n_dims != self._n_dims:
+            raise ValueError(f"pooling point has {n_dims} dims, history expects {self._n_dims}")
+        if n_experts != self._n_experts:
+            raise ValueError(
+                f"record scores {n_experts} experts, history expects {self._n_experts}"
+            )
+
     def _add_block(self, times, points, outcomes, scores) -> None:
-        """Validate rows of equal count and append them; every growth ends here."""
-        if points.shape[1] != self._n_dims:
-            raise ValueError(
-                f"pooling point has {points.shape[1]} dims, history expects {self._n_dims}"
-            )
-        if scores.shape[1] != self._n_experts:
-            raise ValueError(
-                f"record scores {scores.shape[1]} experts, history expects {self._n_experts}"
-            )
+        """Validate rows of equal count and append them."""
+        self._check_shape(points.shape[1], scores.shape[1])
         if not np.all(np.isfinite(points)):
             raise ValueError("pooling_point must be finite")
         if np.any(np.isnan(scores)) or np.any(scores == np.inf):
@@ -127,6 +137,10 @@ class History:
         if late.size:
             t, last = ordered[late[0] + 1], ordered[late[0]]
             raise ValueError(f"time_index {t} not after last recorded {last}")
+        self._grow(times, points, outcomes, scores)
+
+    def _grow(self, times, points, outcomes, scores) -> None:
+        """Append checked rows and refresh the moments; every growth ends here."""
         self._times = np.concatenate([self._times, times])
         self._points = np.concatenate([self._points, points])
         self._outcomes = np.concatenate([self._outcomes, outcomes])
@@ -135,8 +149,8 @@ class History:
             array.flags.writeable = False
         self._mean = self._points.mean(axis=0)
         std = self._points.std(axis=0)
-        magnitude = np.maximum(np.abs(self._points).max(axis=0), 1.0)
-        self._std = np.where(std < _DEGENERATE_STD * magnitude, 1.0, std)
+        self._magnitude = np.maximum(self._magnitude, np.abs(points).max(axis=0))
+        self._std = np.where(std < _DEGENERATE_STD * self._magnitude, 1.0, std)
 
     # -- views --------------------------------------------------------
 
@@ -199,8 +213,14 @@ class History:
 
         The boundary is inclusive: a record exactly ``width`` away counts.
         """
-        if not (width >= 0.0):
-            raise ValueError(f"caliper width must be nonnegative, got {width!r}")
+        return self.calipers(point, (width,))[0]
+
+    def calipers(self, point, widths) -> list[np.ndarray]:
+        """``caliper_neighbors`` for every width, from one distance pass."""
+        for width in widths:
+            if not (width >= 0.0):
+                raise ValueError(f"caliper width must be nonnegative, got {width!r}")
         if len(self) == 0:
-            return np.empty(0, dtype=int)
-        return np.nonzero(self.distances(point) <= width)[0]
+            return [np.empty(0, dtype=int) for _ in widths]
+        dist = self.distances(point)
+        return [np.nonzero(dist <= width)[0] for width in widths]

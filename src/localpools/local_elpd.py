@@ -19,7 +19,7 @@ import numpy as np
 
 from .history import History
 
-__all__ = ["LocalElpdEstimate", "caliper_elpd", "true_local_elpd"]
+__all__ = ["LocalElpdEstimate", "caliper_elpd", "caliper_grid", "true_local_elpd"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,21 +59,35 @@ def caliper_elpd(history: History, point, width: float) -> LocalElpdEstimate:
 
     Distances are standardised-Euclidean in pooling space and the caliper
     boundary is inclusive.  With no history inside the caliper the
-    estimate vector is all zeros by convention.
+    estimate vector is all zeros by convention.  This is ``caliper_grid``
+    with a grid of one width.
     """
-    idx = history.caliper_neighbors(point, width)
-    if idx.size == 0:
-        return LocalElpdEstimate(
-            estimates=np.zeros(history.n_experts),
-            neighbor_count=0,
-            width=width,
-        )
-    local_scores = history.score_matrix[idx]
+    neighbors, estimates = caliper_grid(history, point, (width,))
     return LocalElpdEstimate(
-        estimates=local_scores.mean(axis=0),
-        neighbor_count=int(idx.size),
+        estimates=estimates[0],
+        neighbor_count=neighbors[0].size,
         width=width,
     )
+
+
+def caliper_grid(history: History, point, widths) -> tuple[list[np.ndarray], np.ndarray]:
+    """Caliper rows and per-expert average log scores for every width.
+
+    One distance pass serves the whole grid.  Returns the row indices
+    inside each caliper and a (widths, K) array whose row ``j`` averages
+    the expert scores over ``widths[j]``'s rows (zeros when it holds
+    none).  Calipers around one point are nested, so two widths with the
+    same neighbour count hold the same rows and share one average.
+    """
+    neighbors = history.calipers(point, widths)
+    estimates = np.zeros((len(neighbors), history.n_experts))
+    means: dict[int, np.ndarray] = {}
+    for row, idx in zip(estimates, neighbors):
+        if idx.size:
+            if idx.size not in means:
+                means[idx.size] = history.score_matrix[idx].mean(axis=0)
+            row[:] = means[idx.size]
+    return neighbors, estimates
 
 
 @lru_cache(maxsize=8)

@@ -14,6 +14,10 @@ Three ways to turn expert track records into simplex weights:
   gradient each EM step computes bounds the distance to the optimum, so
   the returned weights are certified to within ``gap_tol`` nats of the
   global optimum.
+
+``PoolQuery`` builds them for every cell of a width x scaling grid at
+one point in one pass; the single-cell builders ``softmax_weights`` and
+``local_opt_weights`` are grids of one.
 """
 
 from __future__ import annotations
@@ -21,19 +25,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .densities import PoolWeights, _weighted_logsumexp
+from .densities import PoolWeights, pooled_rows
 from .history import History
-from .local_elpd import LocalElpdEstimate
+from .local_elpd import LocalElpdEstimate, caliper_grid
 
 __all__ = [
     "NaturalScaling",
     "FixedScaling",
     "NATURAL",
+    "PoolQuery",
     "equal_weights",
     "softmax_weights",
+    "softmax_grid",
     "optimize_pool_weights",
     "pooled_log_scores",
     "local_opt_weights",
@@ -87,21 +94,41 @@ def softmax_weights(estimate: LocalElpdEstimate, scaling=NATURAL) -> PoolWeights
     fixed temperature otherwise).  A zero factor — temperature zero, or an
     empty neighbourhood under natural scaling — returns exactly equal
     weights, and identical estimates do too: the shared maximum is
-    subtracted before exponentiating, so every tilt is exp(0) = 1.
+    subtracted before exponentiating, so every tilt is exp(0) = 1.  This
+    is ``softmax_grid`` with a grid of one cell.
     """
-    factor = float(scaling.factor(estimate.neighbor_count))
-    if not (factor >= 0.0 and math.isfinite(factor)):
-        raise ValueError(f"scaling factor must be finite and nonnegative, got {factor!r}")
-    k = estimate.n_experts
-    if factor == 0.0:
-        return equal_weights(k)
-    scaled = factor * estimate.estimates
-    top = np.max(scaled)
-    if top == -np.inf:
-        # Every expert was infinitely bad; nothing to discriminate on.
-        return equal_weights(k)
-    tilts = np.exp(scaled - top)
-    return PoolWeights(tilts / math.fsum(tilts))
+    cells = softmax_grid([estimate.neighbor_count], estimate.estimates[None, :], (scaling,))
+    return PoolWeights(cells[0])
+
+
+def softmax_grid(counts, estimates, scalings) -> np.ndarray:
+    """Softmax weights for every width x scaling cell, width-major.
+
+    ``estimates`` is (widths, K), row ``j`` the caliper averages of a
+    caliper holding ``counts[j]`` records.  Row ``j * len(scalings) + s``
+    of the (widths * scalings, K) result tilts ``estimates[j]`` under
+    ``scalings[s]`` as ``softmax_weights`` describes: the factor times the
+    estimates, less their maximum, exponentiated and divided by the
+    row's exact sum.  A zero factor, or a maximum of ``-inf``, gives a row
+    of exactly ``1/K``.
+    """
+    factors = np.array([float(rule.factor(count)) for count in counts for rule in scalings])
+    bad = np.flatnonzero(~((factors >= 0.0) & np.isfinite(factors)))
+    if bad.size:
+        raise ValueError(
+            f"scaling factor must be finite and nonnegative, got {float(factors[bad[0]])!r}"
+        )
+    scaled = np.repeat(np.asarray(estimates, dtype=float), len(scalings), axis=0)
+    with np.errstate(invalid="ignore"):  # 0 * -inf; such rows are flattened below
+        scaled *= factors[:, None]
+    top = scaled.max(axis=1)
+    # Every tilt of a flattened row is exp(0) = 1, and 1 / K is exact.
+    flat = (factors == 0.0) | (top == -np.inf)
+    scaled[flat] = 0.0
+    top[flat] = 0.0
+    tilts = np.exp(scaled - top[:, None])
+    totals = np.array([math.fsum(row) for row in tilts.tolist()])
+    return tilts / totals[:, None]
 
 
 # SQUAREM iterates before the remaining ones become Newton steps.  Blocks
@@ -330,18 +357,65 @@ def pooled_log_scores(weights: PoolWeights, log_scores) -> np.ndarray:
         )
     if np.any(np.isnan(E)) or np.any(E == np.inf):
         raise ValueError("log scores must be NaN-free and below +inf")
-    w = weights.values
-    active = w > 0.0
-    return _weighted_logsumexp(w[active], E.T[active])
+    return pooled_rows(weights.values, E)
 
 
 def local_opt_weights(history: History, point, width: float) -> PoolWeights:
     """Log-score-optimal weights fit only to records inside the caliper.
 
     An empty neighbourhood leaves nothing to optimise and falls back to
-    equal weights.
+    equal weights.  This is ``PoolQuery.local_opt`` with one width.
     """
-    idx = history.caliper_neighbors(point, width)
-    if idx.size == 0:
-        return equal_weights(history.n_experts)
-    return optimize_pool_weights(history.score_matrix[idx])
+    return PoolWeights(PoolQuery(history, point, (width,)).local_opt()[0])
+
+
+class PoolQuery:
+    """The pool weights of every grid cell at one point, sharing the work.
+
+    Each rule returns a (cells, K) array of weights, width-major; a query
+    with one width and one scaling is a grid of one.  The calipers of
+    every width come from one distance pass (``caliper_grid``), and each
+    distinct block of history rows is fitted once: calipers around one
+    point are nested, so a neighbour count names its rows, and a caliper
+    holding every record holds the block ``global_opt`` fits.  A query
+    belongs to one state of its history; rules that need no caliper
+    ignore the point and the grids.
+    """
+
+    def __init__(self, history: History, point=None, widths=(), scalings=()) -> None:
+        self.history = history
+        self.point = point
+        self.widths = tuple(widths)
+        self.scalings = tuple(scalings)
+        self._fits: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def calipers(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """``caliper_grid`` of the point over the widths."""
+        return caliper_grid(self.history, self.point, self.widths)
+
+    def equal(self) -> np.ndarray:
+        k = self.history.n_experts
+        return np.full((1, k), 1.0 / k)
+
+    def softmax(self) -> np.ndarray:
+        neighbors, estimates = self.calipers
+        return softmax_grid([idx.size for idx in neighbors], estimates, self.scalings)
+
+    def global_opt(self) -> np.ndarray:
+        return self._fit(np.arange(len(self.history)))[None, :]
+
+    def local_opt(self) -> np.ndarray:
+        return np.array([self._fit(idx) for idx in self.calipers[0]])
+
+    def _fit(self, rows: np.ndarray) -> np.ndarray:
+        """``optimize_pool_weights`` on the history rows ``rows``; 1/K on none."""
+        if rows.size not in self._fits:
+            if rows.size == 0:
+                weights = self.equal()[0]
+            else:
+                scores = self.history.score_matrix
+                block = scores if rows.size == len(scores) else scores[rows]
+                weights = optimize_pool_weights(block).values
+            self._fits[rows.size] = weights
+        return self._fits[rows.size]

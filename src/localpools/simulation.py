@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Mixture, PoolWeights
+from .densities import Mixture
 from .evaluation import (
     SCHEME_EQUAL,
     SCHEME_GLOBAL_OPT,
@@ -43,8 +43,8 @@ from .experts import (
     nig_update,
 )
 from .history import History
-from .local_elpd import LocalElpdEstimate, caliper_elpd, true_local_elpd
-from .pools import NATURAL, softmax_weights
+from .local_elpd import LocalElpdEstimate, caliper_grid, true_local_elpd
+from .pools import NATURAL, PoolQuery, softmax_weights
 
 __all__ = [
     "DgpConfig",
@@ -278,10 +278,9 @@ def estimator_error_study(
         for j, posterior in enumerate(fitted):
             predictive = nig_predictive(posterior, design_vector(posterior, z))
             truths[r, j] = true_local_elpd(config, predictive, z)
-        for w, width in enumerate(widths):
-            estimate = caliper_elpd(history, z, width)
-            errors[r, w] = estimate.estimates - truths[r]
-            counts[r, w] = estimate.neighbor_count
+        neighbors, estimates = caliper_grid(history, z, widths)
+        errors[r] = estimates - truths[r]
+        counts[r] = [idx.size for idx in neighbors]
     return ErrorStudyResult(
         query_point=z,
         width_grid=widths,
@@ -369,8 +368,9 @@ def pool_comparison_study(
 
         # A scheme without a caliper width ignores the query point, so its
         # weights are built once per replication.
+        global_query = PoolQuery(history)
         global_weights = {
-            scheme: SCHEMES[scheme].weights(history, None, None, NATURAL)
+            scheme: SCHEMES[scheme].grid(global_query)[0]
             for scheme in schemes
             if "width" not in SCHEMES[scheme].axes
         }
@@ -393,17 +393,17 @@ def pool_comparison_study(
                 nig_predictive(post, design_vector(post, z)) for post in fitted
             )
 
-            def expected_score(weights: PoolWeights) -> float:
+            def expected_score(weights: np.ndarray) -> float:
                 return true_local_elpd(
                     config, Mixture(weights=weights, components=predictives), z
                 )
 
+            query = PoolQuery(history, z, widths, (NATURAL,))
             for s, scheme in enumerate(schemes):
                 if scheme in global_weights:
                     scores[r, m, s, :] = expected_score(global_weights[scheme])
                     continue
-                for w, width in enumerate(widths):
-                    weights = SCHEMES[scheme].weights(history, z, width, NATURAL)
+                for w, weights in enumerate(SCHEMES[scheme].grid(query)):
                     scores[r, m, s, w] = expected_score(weights)
     return PoolStudyResult(
         query_points=z_points,

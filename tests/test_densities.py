@@ -13,6 +13,7 @@ from localpools.densities import (
     Mixture,
     PoolWeights,
     StudentT,
+    check_simplex_rows,
     pooled_log_density,
 )
 
@@ -52,6 +53,15 @@ class TestPoolWeights:
         w = PoolWeights(np.array([1.0]))
         with pytest.raises(ValueError):
             w.values[0] = 0.5
+
+    def test_rows_are_checked_together(self):
+        good = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
+        check_simplex_rows(good)
+        for row, message in (([0.5, 0.6], "sum to 1"), ([1.5, -0.5], r"\[0, 1\]"), ([np.nan, 1.0], "finite")):
+            bad = good.copy()
+            bad[1] = row
+            with pytest.raises(ValueError, match=message):
+                check_simplex_rows(bad)
 
 
 class TestGaussian:

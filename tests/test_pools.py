@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from localpools.densities import Gaussian, Mixture, PoolWeights, pooled_log_density
 from localpools.history import History
+from localpools import pools
 from localpools.local_elpd import LocalElpdEstimate
 from localpools.pools import (
     NATURAL,
     FixedScaling,
+    PoolQuery,
     equal_weights,
     local_opt_weights,
     optimize_pool_weights,
@@ -296,6 +298,29 @@ class TestLocalOptWeights:
         full = local_opt_weights(h, (0.0,), np.inf)
         direct = optimize_pool_weights(h.score_matrix)
         np.testing.assert_array_equal(full.values, direct.values)
+
+    def test_query_fits_each_distinct_block_once(self, monkeypatch):
+        """Widths with equal counts, and a full caliper beside global_opt,
+        share one fit, and every row equals its grid-of-one rebuild."""
+        h = self._history()
+        point, widths = (-1.55,), (1e-9, 0.5, 0.5 + 1e-9, 1.0, 4.0, np.inf)
+        counts = [idx.size for idx in h.calipers(point, widths)]
+        assert counts[0] == 0 and counts[1] == counts[2] and counts[-1] == len(h)
+        fitted = []
+
+        def counting(scores):
+            fitted.append(len(scores))
+            return optimize_pool_weights(scores)
+
+        monkeypatch.setattr(pools, "optimize_pool_weights", counting)
+        query = PoolQuery(h, point, widths)
+        whole = query.global_opt()
+        cells = query.local_opt()
+        assert sorted(fitted) == sorted(set(counts) - {0})
+        monkeypatch.undo()
+        np.testing.assert_array_equal(whole[0], optimize_pool_weights(h.score_matrix).values)
+        for width, row in zip(widths, cells):
+            np.testing.assert_array_equal(row, local_opt_weights(h, point, width).values)
 
 
 class TestPooledLogScores:
