@@ -64,6 +64,7 @@ from .simulation import (
     generate_dgp,
     nig_evaluation_stream,
     pool_comparison_study,
+    replication_studies,
 )
 
 __all__ = [
@@ -117,4 +118,5 @@ __all__ = [
     "estimator_error_study",
     "PoolStudyResult",
     "pool_comparison_study",
+    "replication_studies",
 ]

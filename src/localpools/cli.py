@@ -53,10 +53,9 @@ from .simulation import (
     DEFAULT_POOL_WIDTHS,
     DEFAULT_QUERY_POINTS,
     DgpConfig,
-    estimator_error_study,
     generate_dgp,
     nig_evaluation_stream,
-    pool_comparison_study,
+    replication_studies,
 )
 
 
@@ -161,7 +160,6 @@ def _cmd_simulate(args, settings: _Settings) -> int:
     sample_size = settings.get(args.sample_size, "dgp", "sample_size", 2000, int)
     train_fraction = settings.get(args.train_fraction, "dgp", "train_fraction", 0.5, float)
     out = Path(settings.get(args.out, "run", "output_dir", "results"))
-    out.mkdir(parents=True, exist_ok=True)
     config = DgpConfig(sample_size=sample_size, seed=seed)
     points = settings.get(
         args.query_points and _parse_points(args.query_points),
@@ -170,39 +168,20 @@ def _cmd_simulate(args, settings: _Settings) -> int:
         DEFAULT_QUERY_POINTS,
         _parse_points,
     )
-    files: dict[str, str] = {}
-
+    if study not in ("error", "pool", "both"):
+        raise ValueError(f"unknown study {study!r}; valid: error, pool, both")
+    error_widths = pool_widths = None
+    schemes = DEFAULT_POOL_SCHEMES
     if study in ("error", "both"):
-        widths = settings.get(
+        error_widths = settings.get(
             args.widths and parse_width_grid(args.widths),
             "simulate",
             "error_widths",
             DEFAULT_ERROR_WIDTHS,
             parse_width_grid,
         )
-        for i, point in enumerate(points):
-            result = estimator_error_study(
-                point,
-                widths,
-                replications,
-                config,
-                train_fraction=train_fraction,
-            )
-            name = f"error_study_{i}.csv"
-            write_error_study_csv(out / name, result)
-            files[f"error_study_{i}"] = name
-            print(f"error study at z={point}: widths {widths}")
-            for w, width in enumerate(widths):
-                means = result.mean_errors()[w]
-                sds = result.sd_errors()[w]
-                pairs = ", ".join(
-                    f"{n}: {m:+.4f} (sd {s:.4f})"
-                    for n, m, s in zip(result.expert_names, means, sds)
-                )
-                print(f"  width {width:g}: {pairs}")
-
     if study in ("pool", "both"):
-        widths = settings.get(
+        pool_widths = settings.get(
             args.widths and parse_width_grid(args.widths),
             "simulate",
             "pool_widths",
@@ -216,27 +195,48 @@ def _cmd_simulate(args, settings: _Settings) -> int:
             DEFAULT_POOL_SCHEMES,
             _parse_schemes,
         )
-        result = pool_comparison_study(
-            points,
-            widths,
-            replications,
-            config,
-            schemes=schemes,
-            train_fraction=train_fraction,
-        )
-        write_pool_study_csv(out / "pool_study.csv", result)
-        write_polarization_csv(out / "polarization.csv", result)
+    # One pass serves both studies; it checks every input before the
+    # first draw, so a bad input leaves no output behind.
+    error_results, pool_result = replication_studies(
+        points,
+        replications,
+        config,
+        error_widths=error_widths,
+        pool_widths=pool_widths,
+        schemes=schemes,
+        train_fraction=train_fraction,
+    )
+    out.mkdir(parents=True, exist_ok=True)
+    files: dict[str, str] = {}
+
+    for i, (point, result) in enumerate(zip(points, error_results)):
+        name = f"error_study_{i}.csv"
+        write_error_study_csv(out / name, result)
+        files[f"error_study_{i}"] = name
+        print(f"error study at z={point}: widths {error_widths}")
+        for w, width in enumerate(error_widths):
+            means = result.mean_errors()[w]
+            sds = result.sd_errors()[w]
+            pairs = ", ".join(
+                f"{n}: {m:+.4f} (sd {s:.4f})"
+                for n, m, s in zip(result.expert_names, means, sds)
+            )
+            print(f"  width {width:g}: {pairs}")
+
+    if pool_result is not None:
+        write_pool_study_csv(out / "pool_study.csv", pool_result)
+        write_polarization_csv(out / "polarization.csv", pool_result)
         files["pool_study"] = "pool_study.csv"
         files["polarization"] = "polarization.csv"
-        mean = result.mean_scores()
+        mean = pool_result.mean_scores()
         for m, point in enumerate(points):
             print(f"pool study at z={tuple(point)}:")
             for s, scheme in enumerate(schemes):
                 row = ", ".join(
-                    f"{width:g}: {mean[m, s, w]:.4f}" for w, width in enumerate(widths)
+                    f"{width:g}: {mean[m, s, w]:.4f}" for w, width in enumerate(pool_widths)
                 )
                 print(f"  {scheme}: {row}")
-        frac = float(np.mean(result.full_data_max_weight > 0.99))
+        frac = float(np.mean(pool_result.full_data_max_weight > 0.99))
         print(f"all-data softmax max weight > 0.99 in {frac:.1%} of replications")
 
     manifest = {

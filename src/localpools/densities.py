@@ -221,23 +221,24 @@ class Mixture(PredictiveDensity):
 def pooled_rows(weights: np.ndarray, log_scores: np.ndarray) -> np.ndarray:
     """``log(sum_k w_k exp(lp_k) / sum_k w_k)`` for each row, unchecked.
 
-    ``weights`` and ``log_scores`` broadcast to (rows, K): one weight
-    vector against many score rows, or one score row against many weight
-    vectors.  The row maximum and both sums run over the positive weights
-    only: a zero weight is masked to ``-inf`` before the maximum, so an
-    expert the pool ignores cannot set the shift (and underflow the
-    others' terms to 0), and it adds an exact 0 to each sum.  A row whose
-    weighted experts all score ``-inf`` pools to ``-inf``.  Dividing by
-    the weight sum (one up to rounding) makes a row of identical log
-    values ``c`` come back as exactly ``c``.
+    ``weights`` and ``log_scores`` broadcast to (..., K), a row per
+    leading index: one weight vector against many score rows, one score
+    row against many weight vectors, or (cells, 1, K) weights against
+    (rows, K) scores for every pair.  The row maximum and both sums run
+    over the positive weights only: a zero weight is masked to ``-inf``
+    before the maximum, so an expert the pool ignores cannot set the
+    shift (and underflow the others' terms to 0), and it adds an exact 0
+    to each sum.  A row whose weighted experts all score ``-inf`` pools
+    to ``-inf``.  Dividing by the weight sum (one up to rounding) makes a
+    row of identical log values ``c`` come back as exactly ``c``.
     """
     w, lp = np.broadcast_arrays(weights, log_scores)
     lp = np.where(w > 0.0, lp, -np.inf)
-    top = lp.max(axis=1)
+    top = lp.max(axis=-1)
     shift = np.where(top > -np.inf, top, 0.0)
     with np.errstate(divide="ignore"):  # log(0) on rows that pool to -inf
-        total = (w * np.exp(lp - shift[:, None])).sum(axis=1)
-        return top + (np.log(total) - np.log(w.sum(axis=1)))
+        total = (w * np.exp(lp - shift[..., None])).sum(axis=-1)
+        return top + (np.log(total) - np.log(w.sum(axis=-1)))
 
 
 def pooled_log_density(weights: PoolWeights, expert_log_densities) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PredictionRecord", "History"]
+__all__ = ["PredictionRecord", "History", "check_widths"]
 
 # A pooling dimension that never varies carries no distance information;
 # dividing by its (near-)zero spread would blow every distance up to inf.
@@ -217,10 +217,15 @@ class History:
 
     def calipers(self, point, widths) -> list[np.ndarray]:
         """``caliper_neighbors`` for every width, from one distance pass."""
-        for width in widths:
-            if not (width >= 0.0):
-                raise ValueError(f"caliper width must be nonnegative, got {width!r}")
+        check_widths(widths)
         if len(self) == 0:
             return [np.empty(0, dtype=int) for _ in widths]
         dist = self.distances(point)
         return [np.nonzero(dist <= width)[0] for width in widths]
+
+
+def check_widths(widths) -> None:
+    """Raise ``ValueError`` unless every caliper width is nonnegative."""
+    for width in widths:
+        if not (width >= 0.0):
+            raise ValueError(f"caliper width must be nonnegative, got {width!r}")

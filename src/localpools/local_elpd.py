@@ -19,7 +19,13 @@ import numpy as np
 
 from .history import History
 
-__all__ = ["LocalElpdEstimate", "caliper_elpd", "caliper_grid", "true_local_elpd"]
+__all__ = [
+    "LocalElpdEstimate",
+    "caliper_elpd",
+    "caliper_grid",
+    "quadrature_rule",
+    "true_local_elpd",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +102,18 @@ def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
-def true_local_elpd(dgp, density, point, *, n_nodes: int = 64) -> float:
-    """Exact local expected log score of ``density`` at pooling point z.
+def quadrature_rule(dgp, point, n_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite outcomes and weights for the true law of y at point z.
 
-    Integrates ``density.log_density(y)`` against the true conditional
-    outcome law, which must be Gaussian: the process object has to expose
-    ``conditional_mean(z)`` and ``noise_sd``.  Uses probabilists'
-    Gauss-Hermite quadrature, exact for polynomial integrands and
-    accurate to near machine precision for the smooth log densities used
-    here.
+    The process's conditional outcome law must be Gaussian: it has to
+    expose ``conditional_mean(z)`` and ``noise_sd``.  Returns the
+    probabilists' Hermite nodes mapped onto the outcome scale and their
+    weights, which sum to one, so the expectation of any function of y
+    is ``weights @ f(outcomes)``.
     """
     if not (hasattr(dgp, "conditional_mean") and hasattr(dgp, "noise_sd")):
         raise TypeError(
-            "true_local_elpd needs a process with a Gaussian conditional law "
+            "quadrature needs a process with a Gaussian conditional law "
             "(conditional_mean(z) and noise_sd); got "
             f"{type(dgp).__name__}"
         )
@@ -119,5 +124,17 @@ def true_local_elpd(dgp, density, point, *, n_nodes: int = 64) -> float:
     if not (sd > 0.0 and math.isfinite(sd)):
         raise ValueError(f"noise_sd must be a positive real, got {sd!r}")
     nodes, weights = _hermite_rule(int(n_nodes))
-    y = center + sd * nodes
-    return float(weights @ density.log_density(y))
+    return center + sd * nodes, weights
+
+
+def true_local_elpd(dgp, density, point, *, n_nodes: int = 64) -> float:
+    """Exact local expected log score of ``density`` at pooling point z.
+
+    Integrates ``density.log_density(y)`` against the true conditional
+    outcome law, which must be Gaussian (see ``quadrature_rule``).  Uses
+    probabilists' Gauss-Hermite quadrature, exact for polynomial
+    integrands and accurate to near machine precision for the smooth log
+    densities used here.
+    """
+    outcomes, weights = quadrature_rule(dgp, point, n_nodes)
+    return float(weights @ density.log_density(outcomes))

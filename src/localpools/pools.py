@@ -388,6 +388,18 @@ class PoolQuery:
         self.widths = tuple(widths)
         self.scalings = tuple(scalings)
         self._fits: dict[int, np.ndarray] = {}
+        self._whole: dict[int, np.ndarray] = {}
+
+    def at(self, point, widths, scalings=()) -> PoolQuery:
+        """A query of the same history at ``point`` that shares the whole-history fit.
+
+        Only that block is shared: a neighbour count names its rows only
+        around one point, but a caliper holding every record holds the
+        same block around any point.
+        """
+        query = PoolQuery(self.history, point, widths, scalings)
+        query._whole = self._whole
+        return query
 
     @cached_property
     def calipers(self) -> tuple[list[np.ndarray], np.ndarray]:
@@ -410,12 +422,14 @@ class PoolQuery:
 
     def _fit(self, rows: np.ndarray) -> np.ndarray:
         """``optimize_pool_weights`` on the history rows ``rows``; 1/K on none."""
-        if rows.size not in self._fits:
+        whole = rows.size == len(self.history)
+        fits = self._whole if whole else self._fits
+        if rows.size not in fits:
             if rows.size == 0:
                 weights = self.equal()[0]
             else:
                 scores = self.history.score_matrix
-                block = scores if rows.size == len(scores) else scores[rows]
+                block = scores if whole else scores[rows]
                 weights = optimize_pool_weights(block).values
-            self._fits[rows.size] = weights
-        return self._fits[rows.size]
+            fits[rows.size] = weights
+        return fits[rows.size]

@@ -7,7 +7,8 @@ missing covariate happens to be near zero — local skill varies over the
 covariate plane even though global skill is symmetric.
 
 Two replication studies quantify the machinery against the quadrature
-ground truth:
+ground truth, both served by one pass over the replications
+(``replication_studies``) that draws and fits each replication once:
 
 * ``estimator_error_study`` — sampling distribution of the caliper
   estimator's error (estimate minus that replication's true local skill)
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Mixture
+from .densities import check_simplex_rows, pooled_rows
 from .evaluation import (
     SCHEME_EQUAL,
     SCHEME_GLOBAL_OPT,
@@ -42,8 +43,8 @@ from .experts import (
     nig_predictive,
     nig_update,
 )
-from .history import History
-from .local_elpd import LocalElpdEstimate, caliper_grid, true_local_elpd
+from .history import History, check_widths
+from .local_elpd import LocalElpdEstimate, caliper_grid, quadrature_rule
 from .pools import NATURAL, PoolQuery, softmax_weights
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "estimator_error_study",
     "PoolStudyResult",
     "pool_comparison_study",
+    "replication_studies",
     "DEFAULT_ERROR_WIDTHS",
     "DEFAULT_POOL_WIDTHS",
     "DEFAULT_POOL_SCHEMES",
@@ -254,41 +256,20 @@ def estimator_error_study(
     Each replication draws a fresh realisation, fits the experts on the
     first half, scores the second half under the frozen posteriors, and
     compares the caliper estimate at ``query_point`` with the
-    replication's own true local skill from quadrature.
+    replication's own true local skill from quadrature.  This is
+    ``replication_studies`` at one point with the pool study off.
     """
-    if replications < 100:
-        raise ValueError("need at least 100 replications for a stable picture")
-    config = config if config is not None else DgpConfig()
-    if experts is None:
-        experts = default_experts()
-    z = np.asarray(query_point, dtype=float).reshape(-1)
-    widths = tuple(float(w) for w in width_grid)
-    names = tuple(name for name, _ in experts)
-    k = len(names)
-    train_size = int(round(train_fraction * config.sample_size))
-    if not 1 <= train_size < config.sample_size:
-        raise ValueError("train fraction leaves an empty batch")
-
-    errors = np.empty((replications, len(widths), k))
-    counts = np.empty((replications, len(widths)), dtype=int)
-    truths = np.empty((replications, k))
-    for r, child in enumerate(_replication_seeds(config.seed, replications)):
-        data = _generate(np.random.default_rng(child), config)
-        fitted, history = _fit_and_score_split(data, experts, train_size)
-        for j, posterior in enumerate(fitted):
-            predictive = nig_predictive(posterior, design_vector(posterior, z))
-            truths[r, j] = true_local_elpd(config, predictive, z)
-        neighbors, estimates = caliper_grid(history, z, widths)
-        errors[r] = estimates - truths[r]
-        counts[r] = [idx.size for idx in neighbors]
-    return ErrorStudyResult(
-        query_point=z,
-        width_grid=widths,
-        expert_names=names,
-        errors=errors,
-        neighbor_counts=counts,
-        true_elpd=truths,
+    z = np.asarray(query_point, dtype=float).reshape(1, -1)
+    errors, _ = replication_studies(
+        z,
+        replications,
+        config,
+        error_widths=width_grid,
+        pool_widths=None,
+        experts=experts,
+        train_fraction=train_fraction,
     )
+    return errors[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,74 +322,148 @@ def pool_comparison_study(
     mixture of the fitted posterior predictives is scored by quadrature
     against the true conditional law, so differences between schemes are
     purely about the weights.  Every scheme is an entry of
-    ``evaluation.SCHEMES``; local softmax uses natural scaling.
+    ``evaluation.SCHEMES``; local softmax uses natural scaling.  This is
+    ``replication_studies`` with the error study off.
+    """
+    _, pool = replication_studies(
+        query_points,
+        replications,
+        config,
+        error_widths=None,
+        pool_widths=width_grid,
+        schemes=schemes,
+        experts=experts,
+        train_fraction=train_fraction,
+    )
+    return pool
+
+
+def replication_studies(
+    query_points=DEFAULT_QUERY_POINTS,
+    replications: int = 500,
+    config: DgpConfig | None = None,
+    *,
+    error_widths=DEFAULT_ERROR_WIDTHS,
+    pool_widths=DEFAULT_POOL_WIDTHS,
+    schemes=DEFAULT_POOL_SCHEMES,
+    experts=None,
+    train_fraction: float = 0.5,
+) -> tuple[tuple[ErrorStudyResult, ...], PoolStudyResult | None]:
+    """Both replication studies from one pass over the replications.
+
+    Returns one ``ErrorStudyResult`` per query point and the
+    ``PoolStudyResult`` over all of them; a study whose widths are
+    ``None`` is not run (no error results, or ``None`` for the pool).
+    Every input is checked before the first draw.  Each replication is
+    drawn, fitted and scored once.  At each query point the fitted
+    experts' log densities at the quadrature outcomes form one
+    (K, nodes) table: an expert's true local skill is its row dotted with
+    the quadrature weights, and every scheme x width pool is checked on
+    the simplex, pooled against the table and dotted with them too.
+    Schemes without a width ignore the point, so their weights are built
+    once per replication, and ``local_opt`` shares the whole-history fit
+    across points (``PoolQuery.at``).
     """
     if replications < 100:
         raise ValueError("need at least 100 replications for a stable picture")
     config = config if config is not None else DgpConfig()
     if experts is None:
         experts = default_experts()
-    schemes = tuple(schemes)
-    unknown = [s for s in schemes if s not in SCHEMES]
-    if unknown:
-        raise ValueError(f"unknown schemes {unknown}")
+    names = tuple(name for name, _ in experts)
+    k = len(names)
     z_points = np.atleast_2d(np.asarray(query_points, dtype=float))
-    widths = tuple(float(w) for w in width_grid)
+    n_points = z_points.shape[0]
+    run_errors = error_widths is not None
+    run_pool = pool_widths is not None
+    if run_errors:
+        error_widths = tuple(float(w) for w in error_widths)
+        check_widths(error_widths)
+    if run_pool:
+        pool_widths = tuple(float(w) for w in pool_widths)
+        check_widths(pool_widths)
+        schemes = tuple(schemes)
+        unknown = [s for s in schemes if s not in SCHEMES]
+        if unknown:
+            raise ValueError(f"unknown schemes {unknown}")
     train_size = int(round(train_fraction * config.sample_size))
     if not 1 <= train_size < config.sample_size:
         raise ValueError("train fraction leaves an empty batch")
+    rules = [quadrature_rule(config, z) for z in z_points]
 
-    scores = np.empty((replications, z_points.shape[0], len(schemes), len(widths)))
-    polarization = np.empty(replications)
+    if run_errors:
+        shape = (n_points, replications, len(error_widths))
+        errors = np.empty(shape + (k,))
+        counts = np.empty(shape, dtype=int)
+        truths = np.empty((n_points, replications, k))
+    if run_pool:
+        scores = np.empty((replications, n_points, len(schemes), len(pool_widths)))
+        polarization = np.empty(replications)
+
     for r, child in enumerate(_replication_seeds(config.seed, replications)):
         data = _generate(np.random.default_rng(child), config)
         fitted, history = _fit_and_score_split(data, experts, train_size)
-        n_history = len(history)
-        score_matrix = history.score_matrix
-
-        # A scheme without a caliper width ignores the query point, so its
-        # weights are built once per replication.
-        global_query = PoolQuery(history)
-        global_weights = {
-            scheme: SCHEMES[scheme].grid(global_query)[0]
-            for scheme in schemes
-            if "width" not in SCHEMES[scheme].axes
-        }
-
-        # Polarizing-behaviour diagnostic: natural-scaling softmax with
-        # the caliper covering every record, so the factor is the full
-        # history length.
-        all_data = LocalElpdEstimate(
-            estimates=score_matrix.mean(axis=0),
-            neighbor_count=n_history,
-            width=math.inf,
-        )
-        polarization[r] = float(
-            np.max(softmax_weights(all_data, NATURAL).values)
-        )
-
-        for m in range(z_points.shape[0]):
-            z = z_points[m]
-            predictives = tuple(
-                nig_predictive(post, design_vector(post, z)) for post in fitted
+        if run_pool:
+            # A scheme without a caliper width ignores the query point, so
+            # its weights are built once per replication, a row per width.
+            whole = PoolQuery(history)
+            global_cells = {
+                scheme: np.repeat(SCHEMES[scheme].grid(whole), len(pool_widths), axis=0)
+                for scheme in schemes
+                if "width" not in SCHEMES[scheme].axes
+            }
+            # Polarizing-behaviour diagnostic: natural-scaling softmax with
+            # the caliper covering every record, so the factor is the full
+            # history length.
+            all_data = LocalElpdEstimate(
+                estimates=history.score_matrix.mean(axis=0),
+                neighbor_count=len(history),
+                width=math.inf,
             )
+            polarization[r] = float(np.max(softmax_weights(all_data, NATURAL).values))
 
-            def expected_score(weights: np.ndarray) -> float:
-                return true_local_elpd(
-                    config, Mixture(weights=weights, components=predictives), z
+        for m, (z, (outcomes, quad_weights)) in enumerate(zip(z_points, rules)):
+            table = np.stack(
+                [
+                    nig_predictive(post, design_vector(post, z)).log_density(outcomes)
+                    for post in fitted
+                ]
+            )
+            if run_errors:
+                truths[m, r] = [float(quad_weights @ row) for row in table]
+                neighbors, estimates = caliper_grid(history, z, error_widths)
+                errors[m, r] = estimates - truths[m, r]
+                counts[m, r] = [idx.size for idx in neighbors]
+            if run_pool:
+                query = whole.at(z, pool_widths, (NATURAL,))
+                cells = np.concatenate(
+                    [
+                        global_cells[s] if s in global_cells else SCHEMES[s].grid(query)
+                        for s in schemes
+                    ]
                 )
+                check_simplex_rows(cells)
+                pooled = pooled_rows(cells[:, None, :], table.T)
+                expected = [float(quad_weights @ row) for row in pooled]
+                scores[r, m] = np.reshape(expected, scores.shape[2:])
 
-            query = PoolQuery(history, z, widths, (NATURAL,))
-            for s, scheme in enumerate(schemes):
-                if scheme in global_weights:
-                    scores[r, m, s, :] = expected_score(global_weights[scheme])
-                    continue
-                for w, weights in enumerate(SCHEMES[scheme].grid(query)):
-                    scores[r, m, s, w] = expected_score(weights)
-    return PoolStudyResult(
-        query_points=z_points,
-        width_grid=widths,
-        schemes=schemes,
-        scores=scores,
-        full_data_max_weight=polarization,
+    error_results = tuple(
+        ErrorStudyResult(
+            query_point=z_points[m],
+            width_grid=error_widths,
+            expert_names=names,
+            errors=errors[m],
+            neighbor_counts=counts[m],
+            true_elpd=truths[m],
+        )
+        for m in range(n_points if run_errors else 0)
     )
+    pool_result = None
+    if run_pool:
+        pool_result = PoolStudyResult(
+            query_points=z_points,
+            width_grid=pool_widths,
+            schemes=schemes,
+            scores=scores,
+            full_data_max_weight=polarization,
+        )
+    return error_results, pool_result

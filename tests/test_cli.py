@@ -236,6 +236,82 @@ def test_simulate_pool_study(tmp_path, capsys):
     assert "max weight > 0.99" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--schemes", "local_softmax,bogus"],
+        ["--query-points", "2,0,1"],
+        ["--widths", "0.5,-1"],
+        ["--train-fraction", "1.0"],
+        ["--replications", "99"],
+    ],
+)
+def test_simulate_checks_every_input_before_writing(tmp_path, capsys, bad):
+    out = tmp_path / "sim"
+    args = ["simulate", "--study", "both", "--replications", "100", "--sample-size", "200"]
+    rc = main([*args, "--query-points", "2,0", *bad, "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_an_unknown_study_from_the_config(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[simulate]\nstudy = bogus\n[run]\noutput_dir = {tmp_path / 'sim'}\n")
+    assert main(["--config", str(ini), "simulate", "--replications", "100"]) == 1
+    assert "unknown study" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_both_is_one_pass_equal_to_the_separate_studies(tmp_path, monkeypatch):
+    """``--study both`` fits each replication once and gives, bit for bit,
+    what the two studies give when each runs on its own."""
+    from localpools import cli, simulation
+    from localpools.evaluation import ALL_SCHEMES
+
+    fits, results = [], {}
+    split = simulation._fit_and_score_split
+
+    def counting(*args):
+        fits.append(len(args[0].outcomes))
+        return split(*args)
+
+    def recording(writer):
+        def write(path, result):
+            results[path.name] = result
+            return writer(path, result)
+
+        return write
+
+    monkeypatch.setattr(simulation, "_fit_and_score_split", counting)
+    for name in ("write_error_study_csv", "write_pool_study_csv"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    rc = main(
+        [
+            "simulate", "--study", "both", "--replications", "100", "--sample-size", "400",
+            "--seed", "5", "--query-points", "2,0;0.5,-1", "--schemes", ",".join(ALL_SCHEMES),
+            "--out", str(tmp_path / "sim"),
+        ]
+    )
+    monkeypatch.undo()
+    assert rc == 0
+    assert len(fits) == 100
+
+    config = DgpConfig(sample_size=400, seed=5)
+    for i, point in enumerate([(2.0, 0.0), (0.5, -1.0)]):
+        alone = simulation.estimator_error_study(point, replications=100, config=config)
+        both = results[f"error_study_{i}.csv"]
+        np.testing.assert_array_equal(both.errors, alone.errors)
+        np.testing.assert_array_equal(both.neighbor_counts, alone.neighbor_counts)
+        np.testing.assert_array_equal(both.true_elpd, alone.true_elpd)
+    alone = simulation.pool_comparison_study(
+        ((2.0, 0.0), (0.5, -1.0)), replications=100, config=config, schemes=ALL_SCHEMES
+    )
+    both = results["pool_study.csv"]
+    np.testing.assert_array_equal(both.scores, alone.scores)
+    np.testing.assert_array_equal(both.full_data_max_weight, alone.full_data_max_weight)
+
+
 def test_config_file_with_flag_override(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from localpools import pools
 from localpools.densities import Mixture
 from localpools.experts import design_vector, nig_predictive, nig_update
 from localpools.local_elpd import LocalElpdEstimate, true_local_elpd
-from localpools.pools import NATURAL, local_opt_weights, softmax_weights
+from localpools.pools import NATURAL, local_opt_weights, optimize_pool_weights, softmax_weights
 from localpools.simulation import (
     DEFAULT_ERROR_WIDTHS,
     DEFAULT_POOL_SCHEMES,
@@ -228,6 +229,32 @@ class TestPoolStudy:
                     weights=local_opt_weights(history, z, width), components=predictives
                 )
                 assert study.scores[0, m, s, w] == true_local_elpd(FAST, mix, z)
+
+    def test_local_opt_fits_each_distinct_block_once_per_replication(self, monkeypatch):
+        """A caliper holding the whole history shares the replication's one
+        fit of that block across points; other blocks are fitted per point."""
+        points, widths = ((2.0, 0.0), (0.0, 0.0)), (0.5, 2.0, 50.0)
+        fitted = []
+
+        def counting(scores):
+            fitted.append(len(scores))
+            return optimize_pool_weights(scores)
+
+        monkeypatch.setattr(pools, "optimize_pool_weights", counting)
+        pool_comparison_study(
+            points, widths, 100, FAST, schemes=("global_opt", "local_opt")
+        )
+        monkeypatch.undo()
+        expected = []
+        for child in _replication_seeds(FAST.seed, 100):
+            data = _generate(np.random.default_rng(child), FAST)
+            _, history = _fit_and_score_split(data, default_experts(), 100)
+            expected.append(len(history))
+            for z in points:
+                counts = {idx.size for idx in history.calipers(z, widths)}
+                expected.extend(sorted(counts - {0, len(history)}))
+        assert fitted.count(100) == 100
+        assert sorted(fitted) == sorted(expected)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
