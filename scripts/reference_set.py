@@ -1,0 +1,91 @@
+"""Write the reference set of artifacts for one source tree and print their hashes.
+
+Usage: ``python3 scripts/reference_set.py SRC OUT``
+
+``SRC`` is a ``src/`` directory holding the ``localpools`` package and
+``OUT`` a directory for the artifacts (created; it must not exist yet).
+Each command runs in its own process, from ``OUT``, with ``SRC`` as the
+only ``PYTHONPATH`` entry.  The script then prints one
+``<sha256>  <path>`` line per file, sorted by path, so two source trees
+(a change and its parent) are compared by diffing the two listings.
+
+The set: the score CSV of ``bench/inputs.write_score_csv(..., 1, 800)``
+(taken from the checkout holding this script, so both trees read the same
+bytes); ``evaluate --simulate`` with its dumped stream; two ``evaluate``
+runs and one ``gridsearch`` on the CSV; two ``pool-once`` calls;
+``simulate --study both``; the standard output of each of these as
+``<name>.log``; and ``help.txt``, the ``--help`` text of the top level and
+of every subcommand.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import inputs  # noqa: E402
+
+CSV_FLAGS = ["--scores", "scores.csv", "--warmup", "100", "--history", "100"]
+CALLS = {
+    "ev_sim": [
+        "evaluate", "--simulate", "--sample-size", "750", "--warmup", "50", "--history", "50",
+        "--seed", "1", "--dump-scores", "dump.csv", "--out", "ev_sim",
+    ],
+    "ev_csv": ["evaluate", *CSV_FLAGS, "--out", "ev_csv"],
+    "ev_csv2": ["evaluate", *CSV_FLAGS, "--schemes", "local_softmax,equal", "--out", "ev_csv2"],
+    "gs": ["gridsearch", *CSV_FLAGS, "--out", "gs"],
+    "once1": ["pool-once", "--scores", "scores.csv", "--point", "0.5,40,-3.02", "--out", "once1.json"],
+    "once2": [
+        "pool-once", "--scores", "scores.csv", "--point=-1,70,-2.95", "--width", "0.5",
+        "--scaling", "2", "--out", "once2.json",
+    ],
+    "sim": [
+        "simulate", "--study", "both", "--replications", "100", "--sample-size", "1000",
+        "--schemes", "local_softmax,equal,global_opt,local_opt", "--out", "sim",
+    ],
+}
+HELP = [[], ["simulate"], ["evaluate"], ["gridsearch"], ["pool-once"]]
+MAIN = "import sys; from localpools.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_cli(argv: list[str], out: Path, src: Path) -> bytes:
+    """Standard output of one CLI call in a fresh process; a nonzero exit raises."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", MAIN, *argv], cwd=out, env=env, stdout=subprocess.PIPE, check=True
+    )
+    return done.stdout
+
+
+def write_reference_set(src: Path, out: Path) -> None:
+    out.mkdir(parents=True)
+    inputs.write_score_csv(out / "scores.csv", 1, 800)
+    for name, argv in CALLS.items():
+        (out / f"{name}.log").write_bytes(run_cli(argv, out, src))
+    help_text = b"".join(run_cli([*cmd, "--help"], out, src) for cmd in HELP)
+    (out / "help.txt").write_bytes(help_text)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (src / "localpools" / "__init__.py").is_file():
+        print(f"error: no localpools package under {src}", file=sys.stderr)
+        return 2
+    write_reference_set(src, out)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

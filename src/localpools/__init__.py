@@ -28,8 +28,6 @@ from .evaluation import (
     EvaluationConfig,
     EvaluationResult,
     EvaluationStream,
-    StepResult,
-    cumulative_scores,
     rolling_evaluate,
     select_hyperparameters,
 )
@@ -98,10 +96,8 @@ __all__ = [
     "EvaluationConfig",
     "EvaluationStream",
     "EvaluationResult",
-    "StepResult",
     "rolling_evaluate",
     "select_hyperparameters",
-    "cumulative_scores",
     "ALL_SCHEMES",
     "SCHEME_LOCAL_SOFTMAX",
     "SCHEME_EQUAL",

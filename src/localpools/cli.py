@@ -305,7 +305,7 @@ def _cmd_evaluate(args, settings: _Settings) -> int:
     result = rolling_evaluate(stream, config)
     paths = emit_results(result, out, metadata={"command": "evaluate", **source})
     for scheme, total in result.totals().items():
-        print(f"{scheme}: total log score {total:.4f} over {len(result.steps)} steps")
+        print(f"{scheme}: total log score {total:.4f} over {result.reported_times.size} steps")
     print(f"wrote {paths['steps']}, {paths['summary']}, {paths['manifest']}")
     return 0
 
@@ -315,8 +315,7 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
     out = Path(settings.get(args.out, "run", "output_dir", "results"))
     out.mkdir(parents=True, exist_ok=True)
     result = rolling_evaluate(stream, config)
-    eval_start = config.warmup_size + config.history_size
-    reported = result.candidate_times >= stream.time_indices[eval_start]
+    reported = np.arange(len(result.history)) >= config.history_size
     live = result.live_rows
 
     import csv as _csv

@@ -87,10 +87,6 @@ class PredictiveDensity:
         """Log density at ``y`` (scalar or array); ``-inf`` where density is 0."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw from the distribution using the supplied generator."""
-        raise NotImplementedError
-
 
 def _validate_finite_scalar(name: str, value: float) -> float:
     value = float(value)
@@ -124,9 +120,6 @@ class Gaussian(PredictiveDensity):
         z = (arr - self.mean) / self.stddev
         out = -0.5 * (_LOG_2PI + z * z) - math.log(self.stddev)
         return _match_input(y, out)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.normal(self.mean, self.stddev, size=size)
 
 
 def student_t_log_pdf(z, log_scale, dof: float):
@@ -165,9 +158,6 @@ class StudentT(PredictiveDensity):
         z = (np.asarray(y, dtype=float) - self.location) / self.scale
         return _match_input(y, student_t_log_pdf(z, math.log(self.scale), self.dof))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.location + self.scale * rng.standard_t(self.dof, size=size)
-
 
 @dataclass(frozen=True, eq=False)
 class Mixture(PredictiveDensity):
@@ -200,21 +190,6 @@ class Mixture(PredictiveDensity):
         out = pooled_rows(w[active], stacked.T)
         if np.ndim(y) == 0:
             return float(out[0])
-        return out
-
-    def sample(self, rng: np.random.Generator, size=None):
-        w = self.weights.values
-        k = len(self.components)
-        if size is None:
-            idx = rng.choice(k, p=w)
-            return self.components[idx].sample(rng)
-        idx = rng.choice(k, size=size, p=w)
-        out = np.empty(np.shape(idx), dtype=float)
-        for j in range(k):
-            mask = idx == j
-            n = int(mask.sum())
-            if n:
-                out[mask] = self.components[j].sample(rng, size=n)
         return out
 
 

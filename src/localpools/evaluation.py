@@ -11,7 +11,8 @@ The stream is split into three consecutive batches:
 * warmup — expert training only; steps are skipped entirely,
 * history — predictions enter the history and candidate pools are scored
   (to seed hyperparameter selection) but no scheme results are reported,
-* evaluation — full per-step results.
+* evaluation — reported results: each scheme's weights, pooled score and
+  chosen grid cell at every step.
 
 Every scheme is one entry of ``SCHEMES``: the hyperparameter axes it
 takes from the config and the rule that turns the history into the
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import PoolWeights, check_simplex_rows, pooled_rows
+from .densities import check_simplex_rows, pooled_rows
 from .history import History, PredictionRecord
 from .pools import NATURAL, FixedScaling, PoolQuery
 
@@ -53,11 +54,9 @@ __all__ = [
     "DEFAULT_SCALING_GRID",
     "EvaluationConfig",
     "EvaluationStream",
-    "StepResult",
     "EvaluationResult",
     "rolling_evaluate",
     "select_hyperparameters",
-    "cumulative_scores",
 ]
 
 SCHEME_LOCAL_SOFTMAX = "local_softmax"
@@ -223,49 +222,62 @@ class EvaluationStream:
 
 
 @dataclass(frozen=True, eq=False)
-class StepResult:
-    """Everything produced at one reported evaluation step."""
-
-    time_index: int
-    pooling_point: np.ndarray
-    outcome: float
-    expert_log_scores: np.ndarray
-    weights: dict[str, PoolWeights]
-    pooled_log_scores: dict[str, float]
-    chosen_width: dict[str, float]
-    chosen_scaling: dict[str, str]
-
-
-@dataclass(frozen=True, eq=False)
 class EvaluationResult:
-    """Reported steps plus the bookkeeping needed to audit them.
+    """Reported results per scheme plus the bookkeeping needed to audit them.
+
+    The history holds every scored step (history batch and evaluation
+    batch alike, in time order); the reported steps are its rows from
+    ``config.history_size`` on.  Per scheme, row ``i`` of ``weights``
+    (n_reported, K), ``pooled_log_scores`` (n_reported,) and
+    ``chosen_cells`` (n_reported,) belong to the ``i``-th reported step;
+    a chosen cell indexes the scheme's entry of ``cells``, its
+    (width, scaling) grid with ``None`` on an axis the scheme does not
+    take.  These arrays are read-only.
 
     ``candidate_log_scores[scheme]`` holds one shadow-pool log score per
-    scored step (history batch and evaluation batch alike, in time
-    order) and per grid cell, so the selection made at any reported step
-    can be re-derived by summing rows strictly before it.  Rows of steps
-    on which every expert scored ``-inf`` are kept in the ledger (every
-    cell scores ``-inf`` there) but left out of those sums; ``live_rows``
-    marks the rows that count.
+    history row and per grid cell, so the selection made at any reported
+    step can be re-derived by summing rows strictly before it.  Rows of
+    steps on which every expert scored ``-inf`` are kept in the ledger
+    (every cell scores ``-inf`` there) but left out of those sums;
+    ``live_rows`` marks the rows that count.
     """
 
     config: EvaluationConfig
     expert_names: tuple[str, ...]
-    steps: tuple[StepResult, ...]
     history: History
-    candidate_labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    candidate_log_scores: dict[str, np.ndarray] = field(default_factory=dict)
-    candidate_times: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    cells: dict[str, tuple[tuple, ...]]
+    weights: dict[str, np.ndarray]
+    pooled_log_scores: dict[str, np.ndarray]
+    chosen_cells: dict[str, np.ndarray]
+    candidate_log_scores: dict[str, np.ndarray]
+
+    @property
+    def reported_times(self) -> np.ndarray:
+        """Time indices of the reported steps."""
+        return self.history.time_indices[self.config.history_size :]
+
+    @property
+    def candidate_labels(self) -> dict[str, tuple[str, ...]]:
+        """Cell labels of every scheme that keeps shadow pools, in ledger order."""
+        return {
+            scheme: tuple(_cell_label(*cell) for cell in self.cells[scheme])
+            for scheme in self.candidate_log_scores
+        }
 
     def totals(self) -> dict[str, float]:
         """Total reported log score per scheme (the headline comparison)."""
+        # A left-to-right sum: np.sum is pairwise and rounds differently.
         return {
-            scheme: float(sum(s.pooled_log_scores[scheme] for s in self.steps))
-            for scheme in self.config.schemes
+            scheme: float(sum(scores.tolist()))
+            for scheme, scores in self.pooled_log_scores.items()
         }
 
     def cumulative(self) -> dict[str, np.ndarray]:
-        return cumulative_scores(self.steps, self.config.schemes)
+        """Per-scheme running sums of the reported pooled log scores."""
+        return {
+            scheme: np.cumsum(scores)
+            for scheme, scores in self.pooled_log_scores.items()
+        }
 
     @property
     def live_rows(self) -> np.ndarray:
@@ -293,23 +305,12 @@ def select_hyperparameters(candidate_cumulative) -> int:
     return int(np.argmax(arr))
 
 
-def cumulative_scores(steps, schemes=None) -> dict[str, np.ndarray]:
-    """Per-scheme running sums of reported pooled log scores."""
-    steps = list(steps)
-    if schemes is None:
-        schemes = steps[0].pooled_log_scores.keys() if steps else ()
-    return {
-        scheme: np.cumsum([s.pooled_log_scores[scheme] for s in steps])
-        for scheme in schemes
-    }
-
-
-def _grid_cells(scheme: str, config: EvaluationConfig) -> list[tuple]:
+def _grid_cells(scheme: str, config: EvaluationConfig) -> tuple[tuple, ...]:
     """(width, scaling) cells, width-major; ``None`` on an axis not taken."""
     axes = SCHEMES[scheme].axes
     widths = config.width_grid if "width" in axes else (None,)
     scalings = config.scaling_grid if "scaling" in axes else (None,)
-    return [(width, scaling) for width in widths for scaling in scalings]
+    return tuple((width, scaling) for width in widths for scaling in scalings)
 
 
 def _cell_label(width, scaling) -> str:
@@ -334,8 +335,8 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
     """Run the three-batch rolling protocol over a scored stream.
 
     Requires ``warmup_size + history_size < len(stream)`` so that at
-    least one step is reported.  Returns the reported steps together
-    with the final history and the full shadow-pool score ledger.
+    least one step is reported.  Returns the per-scheme reported arrays
+    together with the final history and the full shadow-pool score ledger.
     """
     T = stream.n_steps
     if config.warmup_size + config.history_size >= T:
@@ -345,35 +346,28 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
         )
     history = History(stream.n_pooling_dims, stream.n_experts)
     schemes = config.schemes
+    n_scored = T - config.warmup_size
+    n_reported = n_scored - config.history_size
 
     # One shadow pool per grid cell, per scheme that takes hyperparameters.
     # Cells are laid out width-major / scaling-minor, matching the declared
     # tie-break order.
-    families = {
-        scheme: _grid_cells(scheme, config)
+    cells = {scheme: _grid_cells(scheme, config) for scheme in schemes}
+    ledger = {
+        scheme: np.empty((n_scored, len(cells[scheme])))
         for scheme in schemes
         if SCHEMES[scheme].axes
     }
-    labels = {
-        name: tuple(_cell_label(*cell) for cell in cells)
-        for name, cells in families.items()
-    }
-
-    cand_rows: dict[str, list[np.ndarray]] = {name: [] for name in families}
-    cand_cum: dict[str, np.ndarray] = {
-        name: np.zeros(len(cells)) for name, cells in families.items()
-    }
-    cand_times: list[int] = []
-    steps: list[StepResult] = []
-    eval_start = config.warmup_size + config.history_size
+    cand_cum = {name: np.zeros(table.shape[1]) for name, table in ledger.items()}
+    weights = {scheme: np.empty((n_reported, stream.n_experts)) for scheme in schemes}
+    pooled = {scheme: np.empty(n_reported) for scheme in schemes}
+    chosen = {scheme: np.zeros(n_reported, dtype=int) for scheme in schemes}
     live = _live_rows(stream.log_scores)
 
-    for t in range(config.warmup_size, T):
-        time_index = int(stream.time_indices[t])
+    for row, t in enumerate(range(config.warmup_size, T)):
         z = stream.pooling_points[t]
-        outcome = float(stream.outcomes[t])
         expert_row = stream.log_scores[t]
-        reporting = t >= eval_start
+        report = row - config.history_size
 
         # Shadow pools are scored at every non-warmup step, including the
         # history batch, so selection has something to go on when
@@ -383,65 +377,45 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
         grids = {
             scheme: SCHEMES[scheme].grid(query)
             for scheme in schemes
-            if reporting or scheme in families
+            if report >= 0 or scheme in ledger
         }
         shadow = _pool_cells(grids, expert_row)
-        for name in families:
-            cand_rows[name].append(shadow[name])
+        for name, table in ledger.items():
+            table[row] = shadow[name]
 
-        if reporting:
-            weights: dict[str, PoolWeights] = {}
-            pooled: dict[str, float] = {}
-            chosen_width: dict[str, float] = {}
-            chosen_scaling: dict[str, str] = {}
+        if report >= 0:
             for scheme, grid in grids.items():
                 pick = 0
-                if scheme in families:
+                if scheme in ledger:
                     # Selection sees the cumulative totals before this step's row.
                     pick = select_hyperparameters(cand_cum[scheme])
-                    width, scaling = families[scheme][pick]
-                    if width is not None:
-                        chosen_width[scheme] = width
-                    if scaling is not None:
-                        chosen_scaling[scheme] = scaling.label()
-                weights[scheme] = PoolWeights(grid[pick])
-                pooled[scheme] = float(shadow[scheme][pick])
-            steps.append(
-                StepResult(
-                    time_index=time_index,
-                    pooling_point=z,
-                    outcome=outcome,
-                    expert_log_scores=expert_row,
-                    weights=weights,
-                    pooled_log_scores=pooled,
-                    chosen_width=chosen_width,
-                    chosen_scaling=chosen_scaling,
-                )
-            )
+                weights[scheme][report] = grid[pick]
+                pooled[scheme][report] = shadow[scheme][pick]
+                chosen[scheme][report] = pick
 
         if live[t]:
-            for name in families:
-                cand_cum[name] = cand_cum[name] + cand_rows[name][-1]
-        cand_times.append(time_index)
+            for name, table in ledger.items():
+                cand_cum[name] = cand_cum[name] + table[row]
 
         history.append(
             PredictionRecord(
-                time_index=time_index,
+                time_index=stream.time_indices[t],
                 pooling_point=z,
-                outcome=outcome,
+                outcome=stream.outcomes[t],
                 log_scores=expert_row,
             )
         )
 
+    for arrays in (weights, pooled, chosen, ledger):
+        for array in arrays.values():
+            array.flags.writeable = False
     return EvaluationResult(
         config=config,
         expert_names=stream.expert_names,
-        steps=tuple(steps),
         history=history,
-        candidate_labels=labels,
-        candidate_log_scores={
-            name: np.array(rows).reshape(len(cand_times), len(families[name]))
-            for name, rows in cand_rows.items()
-        },
-        candidate_times=np.array(cand_times, dtype=int),
+        cells=cells,
+        weights=weights,
+        pooled_log_scores=pooled,
+        chosen_cells=chosen,
+        candidate_log_scores=ledger,
     )

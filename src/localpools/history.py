@@ -148,7 +148,8 @@ class History:
         for array in (self._times, self._points, self._outcomes, self._scores):
             array.flags.writeable = False
         self._mean = self._points.mean(axis=0)
-        std = self._points.std(axis=0)
+        # np.std's own arithmetic, from the mean just taken instead of a second one.
+        std = np.sqrt(((self._points - self._mean) ** 2).mean(axis=0))
         self._magnitude = np.maximum(self._magnitude, np.abs(points).max(axis=0))
         self._std = np.where(std < _DEGENERATE_STD * self._magnitude, 1.0, std)
 

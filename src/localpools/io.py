@@ -200,18 +200,32 @@ def write_score_csv(path, stream: EvaluationStream) -> Path:
 
 
 def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict[str, Path]:
-    """Write steps.csv, summary.json, and manifest.json for one run."""
-    if not result.steps:
+    """Write steps.csv, summary.json, and manifest.json for one run.
+
+    A steps.csv row joins a reported step's history row (time, outcome,
+    point, expert scores) with each scheme's reported arrays and the
+    (width, scaling) entry of its chosen cell.
+    """
+    times = result.reported_times.tolist()
+    if not times:
         raise ValueError("no reported steps to emit")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     schemes = result.config.schemes
     names = result.expert_names
-    d = result.steps[0].pooling_point.size
+    history = result.history
+    reported = slice(result.config.history_size, None)
+    outcomes = history.outcomes[reported]
+    points = history.pooling_points[reported]
+    expert_scores = history.score_matrix[reported]
+    chosen = {
+        s: [result.cells[s][pick] for pick in result.chosen_cells[s].tolist()]
+        for s in schemes
+    }
 
     width_schemes = [s for s in schemes if "width" in SCHEMES[s].axes]
     scaling_schemes = [s for s in schemes if "scaling" in SCHEMES[s].axes]
-    header = ["t", "y"] + [f"z_{j + 1}" for j in range(d)]
+    header = ["t", "y"] + [f"z_{j + 1}" for j in range(history.n_pooling_dims)]
     header += [f"lp_{n}" for n in names]
     header += [f"pooled_{s}" for s in schemes]
     for s in schemes:
@@ -223,23 +237,23 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
     with open(steps_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for step in result.steps:
-            row = [str(step.time_index), format_real(step.outcome)]
-            row += [format_real(v) for v in step.pooling_point]
-            row += [format_real(v) for v in step.expert_log_scores]
-            row += [format_real(step.pooled_log_scores[s]) for s in schemes]
+        for i, t in enumerate(times):
+            row = [str(t), format_real(outcomes[i])]
+            row += [format_real(v) for v in points[i]]
+            row += [format_real(v) for v in expert_scores[i]]
+            row += [format_real(result.pooled_log_scores[s][i]) for s in schemes]
             for s in schemes:
-                row += [format_real(v) for v in step.weights[s].values]
-            row += [format_real(step.chosen_width[s]) for s in width_schemes]
-            row += [step.chosen_scaling[s] for s in scaling_schemes]
+                row += [format_real(v) for v in result.weights[s][i]]
+            row += [format_real(chosen[s][i][0]) for s in width_schemes]
+            row += [chosen[s][i][1].label() for s in scaling_schemes]
             writer.writerow(row)
 
     summary_path = out / "summary.json"
     summary = {
         "total_log_score": result.totals(),
-        "n_reported_steps": len(result.steps),
-        "first_time_index": result.steps[0].time_index,
-        "last_time_index": result.steps[-1].time_index,
+        "n_reported_steps": len(times),
+        "first_time_index": times[0],
+        "last_time_index": times[-1],
         "schemes": list(schemes),
         "expert_names": list(names),
     }

@@ -409,7 +409,7 @@ def test_criterion_09_protocol_integrity(tmp_path):
         scaling_grid=(FixedScaling(1.0), NATURAL),
     )
     result = rolling_evaluate(stream, config)
-    assert len(result.steps) == 150
+    assert result.reported_times.size == 150
 
     # replay every reported step from a truncated history
     k = stream.n_experts
@@ -433,8 +433,7 @@ def test_criterion_09_protocol_integrity(tmp_path):
             cum[scheme] = cum[scheme] + result.candidate_log_scores[scheme][i]
 
     softmax_cells = [(w, s) for w in config.width_grid for s in config.scaling_grid]
-    for step_idx, step in enumerate(result.steps):
-        t = step.time_index
+    for step_idx, t in enumerate(result.reported_times.tolist()):
         z = stream.pooling_points[t]
         replayed: dict[str, PoolWeights] = {
             SCHEME_EQUAL: equal_weights(k),
@@ -442,22 +441,26 @@ def test_criterion_09_protocol_integrity(tmp_path):
         }
         pick = select_hyperparameters(cum[SCHEME_LOCAL_SOFTMAX])
         width, rule = softmax_cells[pick]
-        assert step.chosen_width[SCHEME_LOCAL_SOFTMAX] == width
-        assert step.chosen_scaling[SCHEME_LOCAL_SOFTMAX] == rule.label()
+        chosen = {
+            scheme: result.cells[scheme][result.chosen_cells[scheme][step_idx]]
+            for scheme in cum
+        }
+        assert chosen[SCHEME_LOCAL_SOFTMAX][0] == width
+        assert chosen[SCHEME_LOCAL_SOFTMAX][1].label() == rule.label()
         replayed[SCHEME_LOCAL_SOFTMAX] = softmax_weights(
             caliper_elpd(history, z, width), rule
         )
         pick = select_hyperparameters(cum[SCHEME_LOCAL_OPT])
         opt_width = config.width_grid[pick]
-        assert step.chosen_width[SCHEME_LOCAL_OPT] == opt_width
+        assert chosen[SCHEME_LOCAL_OPT][0] == opt_width
         replayed[SCHEME_LOCAL_OPT] = local_opt_weights(history, z, opt_width)
 
         for scheme in ALL_SCHEMES:
             np.testing.assert_array_equal(
-                step.weights[scheme].values, replayed[scheme].values
+                result.weights[scheme][step_idx], replayed[scheme].values
             )
             lp = pooled_log_scores(replayed[scheme], stream.log_scores[t][None, :])[0]
-            assert step.pooled_log_scores[scheme] == lp
+            assert result.pooled_log_scores[scheme][step_idx] == lp
 
         row_idx = rows_before + step_idx
         for scheme in cum:

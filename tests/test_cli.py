@@ -124,7 +124,7 @@ def test_gridsearch_leaves_dead_rows_out_of_the_totals(tmp_path, capsys):
     )
     result = rolling_evaluate(stream, config)
     live = np.any(stream.log_scores[50:] > -np.inf, axis=1)
-    reported = result.candidate_times >= 100
+    reported = result.history.time_indices >= 100
     assert live.sum() == live.size - 1
     np.testing.assert_array_equal(result.live_rows, live)
     for family, labels in result.candidate_labels.items():

@@ -14,7 +14,6 @@ from localpools.evaluation import (
     SCHEME_LOCAL_SOFTMAX,
     EvaluationConfig,
     EvaluationStream,
-    cumulative_scores,
     rolling_evaluate,
     select_hyperparameters,
 )
@@ -38,6 +37,16 @@ def _synthetic_stream(T=60, k=3, seed=0):
     scores = rng.normal(-1.5, 0.8, size=(T, k))
     names = tuple(f"m{j}" for j in range(k))
     return EvaluationStream(points, outcomes, scores, names)
+
+
+def _chosen(res, scheme, i):
+    """The (width, scaling) cell ``scheme`` chose at reported step ``i``."""
+    return res.cells[scheme][res.chosen_cells[scheme][i]]
+
+
+def _reported_expert_scores(res):
+    """Expert log scores of the reported steps: history rows from history_size on."""
+    return res.history.score_matrix[res.config.history_size :]
 
 
 SMALL_CONFIG = EvaluationConfig(
@@ -158,15 +167,15 @@ class TestSelectHyperparameters:
 
 class TestCumulativeScores:
     def test_running_sum(self):
-        class Fake:
-            def __init__(self, v):
-                self.pooled_log_scores = {"equal": v}
-
-        out = cumulative_scores([Fake(1.0), Fake(2.0), Fake(3.0)], ("equal",))
-        np.testing.assert_array_equal(out["equal"], [1.0, 3.0, 6.0])
-
-    def test_empty_steps(self):
-        assert cumulative_scores([], ("equal",))["equal"].size == 0
+        res = rolling_evaluate(_synthetic_stream(), SMALL_CONFIG)
+        cum = res.cumulative()
+        assert set(cum) == set(SMALL_CONFIG.schemes)
+        for scheme, scores in res.pooled_log_scores.items():
+            running, total = [], 0.0
+            for value in scores.tolist():
+                total += value
+                running.append(total)
+            np.testing.assert_array_equal(cum[scheme], running)
 
 
 class TestRollingEvaluate:
@@ -179,20 +188,38 @@ class TestRollingEvaluate:
         stream = _synthetic_stream()
         res = rolling_evaluate(stream, SMALL_CONFIG)
         expected = stream.n_steps - SMALL_CONFIG.warmup_size - SMALL_CONFIG.history_size
-        assert len(res.steps) == expected
-        reported = [s.time_index for s in res.steps]
-        assert reported == list(range(20, 60))
+        assert res.reported_times.tolist() == list(range(20, 60))
+        for scheme in SMALL_CONFIG.schemes:
+            assert res.weights[scheme].shape == (expected, stream.n_experts)
+            assert res.pooled_log_scores[scheme].shape == (expected,)
+            assert res.chosen_cells[scheme].shape == (expected,)
         # history-batch steps are scored for candidates but never reported
-        assert res.candidate_times[0] == SMALL_CONFIG.warmup_size
-        assert len(res.candidate_times) == stream.n_steps - SMALL_CONFIG.warmup_size
+        scored = stream.n_steps - SMALL_CONFIG.warmup_size
+        np.testing.assert_array_equal(res.history.time_indices, range(5, 60))
+        for table in res.candidate_log_scores.values():
+            assert table.shape[0] == scored
 
     def test_per_step_payload_keys(self):
         res = rolling_evaluate(_synthetic_stream(), SMALL_CONFIG)
-        step = res.steps[0]
-        assert set(step.weights) == set(ALL_SCHEMES)
-        assert set(step.pooled_log_scores) == set(ALL_SCHEMES)
-        assert set(step.chosen_width) == {SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT}
-        assert set(step.chosen_scaling) == {SCHEME_LOCAL_SOFTMAX}
+        for columns in (res.weights, res.pooled_log_scores, res.chosen_cells, res.cells):
+            assert set(columns) == set(ALL_SCHEMES)
+        assert set(res.candidate_log_scores) == {SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT}
+        widths, scalings = SMALL_CONFIG.width_grid, SMALL_CONFIG.scaling_grid
+        assert res.cells[SCHEME_LOCAL_SOFTMAX] == tuple((w, s) for w in widths for s in scalings)
+        assert res.cells[SCHEME_LOCAL_OPT] == tuple((w, None) for w in widths)
+        # Schemes without axes have one cell and always use it.
+        for scheme in (SCHEME_EQUAL, SCHEME_GLOBAL_OPT):
+            assert res.cells[scheme] == ((None, None),)
+            assert np.all(res.chosen_cells[scheme] == 0)
+
+    def test_reported_arrays_are_read_only(self):
+        res = rolling_evaluate(_synthetic_stream(), SMALL_CONFIG)
+        columns = (res.weights, res.pooled_log_scores, res.chosen_cells, res.candidate_log_scores)
+        for table in columns:
+            for array in table.values():
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
     def test_single_expert_all_schemes_match_the_expert(self):
         rng = np.random.default_rng(1)
@@ -205,10 +232,10 @@ class TestRollingEvaluate:
         res = rolling_evaluate(
             stream, EvaluationConfig(warmup_size=0, history_size=5)
         )
-        for step in res.steps:
-            for scheme in ALL_SCHEMES:
-                assert step.weights[scheme].values[0] == 1.0
-                assert step.pooled_log_scores[scheme] == step.expert_log_scores[0]
+        expert = _reported_expert_scores(res)[:, 0]
+        for scheme in ALL_SCHEMES:
+            assert np.all(res.weights[scheme][:, 0] == 1.0)
+            np.testing.assert_array_equal(res.pooled_log_scores[scheme], expert)
 
     def test_identical_experts_make_schemes_agree_exactly(self):
         rng = np.random.default_rng(2)
@@ -220,17 +247,17 @@ class TestRollingEvaluate:
             ("a", "b"),
         )
         res = rolling_evaluate(stream, EvaluationConfig(warmup_size=0, history_size=8))
-        for step in res.steps:
-            vals = set(step.pooled_log_scores.values())
-            assert vals == {step.expert_log_scores[0]}
+        expert = _reported_expert_scores(res)[:, 0]
+        for scores in res.pooled_log_scores.values():
+            np.testing.assert_array_equal(scores, expert)
 
     def test_totals_match_cumulative_tail(self):
         res = rolling_evaluate(_synthetic_stream(), SMALL_CONFIG)
         totals = res.totals()
         cum = res.cumulative()
         for scheme in SMALL_CONFIG.schemes:
-            assert totals[scheme] == pytest.approx(cum[scheme][-1], abs=1e-9)
-            assert len(cum[scheme]) == len(res.steps)
+            assert totals[scheme] == cum[scheme][-1]
+            assert len(cum[scheme]) == res.reported_times.size
 
     def test_equal_scheme_total_recomputes(self):
         stream = _synthetic_stream()
@@ -251,11 +278,9 @@ class TestRollingEvaluate:
             np.testing.assert_array_equal(
                 a.candidate_log_scores[scheme], b.candidate_log_scores[scheme]
             )
-        for sa, sb in zip(a.steps, b.steps):
-            for scheme in ALL_SCHEMES:
-                np.testing.assert_array_equal(
-                    sa.weights[scheme].values, sb.weights[scheme].values
-                )
+        for scheme in ALL_SCHEMES:
+            np.testing.assert_array_equal(a.weights[scheme], b.weights[scheme])
+            np.testing.assert_array_equal(a.chosen_cells[scheme], b.chosen_cells[scheme])
 
 
 class TestNoLookahead:
@@ -277,57 +302,52 @@ class TestNoLookahead:
     def test_weights_rebuild_bitwise(self):
         stream = _synthetic_stream()
         res = rolling_evaluate(stream, SMALL_CONFIG)
-        for step in (res.steps[0], res.steps[7], res.steps[-1]):
-            t = step.time_index
+        for i in (0, 7, -1):
+            t = res.reported_times[i]
             h = self._history_before(stream, t)
             z = stream.pooling_points[t]
 
             np.testing.assert_array_equal(
-                step.weights[SCHEME_EQUAL].values, equal_weights(3).values
+                res.weights[SCHEME_EQUAL][i], equal_weights(3).values
             )
             np.testing.assert_array_equal(
-                step.weights[SCHEME_GLOBAL_OPT].values,
+                res.weights[SCHEME_GLOBAL_OPT][i],
                 optimize_pool_weights(h.score_matrix).values,
             )
-            width = step.chosen_width[SCHEME_LOCAL_SOFTMAX]
-            rule = next(
-                r
-                for r in SMALL_CONFIG.scaling_grid
-                if r.label() == step.chosen_scaling[SCHEME_LOCAL_SOFTMAX]
-            )
+            width, rule = _chosen(res, SCHEME_LOCAL_SOFTMAX, i)
             np.testing.assert_array_equal(
-                step.weights[SCHEME_LOCAL_SOFTMAX].values,
+                res.weights[SCHEME_LOCAL_SOFTMAX][i],
                 softmax_weights(caliper_elpd(h, z, width), rule).values,
             )
+            width, _ = _chosen(res, SCHEME_LOCAL_OPT, i)
             np.testing.assert_array_equal(
-                step.weights[SCHEME_LOCAL_OPT].values,
-                local_opt_weights(h, z, step.chosen_width[SCHEME_LOCAL_OPT]).values,
+                res.weights[SCHEME_LOCAL_OPT][i],
+                local_opt_weights(h, z, width).values,
             )
 
     def test_selection_audit_from_candidate_ledger(self):
         """Chosen grid cells re-derive from shadow scores strictly before t."""
         stream = _synthetic_stream()
         res = rolling_evaluate(stream, SMALL_CONFIG)
+        times = res.history.time_indices
         for scheme in (SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT):
             rows = res.candidate_log_scores[scheme]
             labels = res.candidate_labels[scheme]
-            for step in res.steps:
+            for r, time_index in enumerate(res.reported_times):
                 cum = np.zeros(rows.shape[1])
-                for i, ti in enumerate(res.candidate_times):
-                    if ti >= step.time_index:
+                for i, ti in enumerate(times):
+                    if ti >= time_index:
                         break
                     cum = cum + rows[i]
-                assert res.candidate_times[i] == step.time_index
+                assert times[i] == time_index
                 pick = select_hyperparameters(cum)
+                assert res.chosen_cells[scheme][r] == pick
                 # The reported score is the chosen cell's own shadow entry.
-                assert step.pooled_log_scores[scheme] == rows[i, pick]
+                assert res.pooled_log_scores[scheme][r] == rows[i, pick]
+                width, scaling = _chosen(res, scheme, r)
+                expected = f"width={width:g}"
                 if scheme == SCHEME_LOCAL_SOFTMAX:
-                    expected = (
-                        f"width={step.chosen_width[scheme]:g},"
-                        f"{step.chosen_scaling[scheme]}"
-                    )
-                else:
-                    expected = f"width={step.chosen_width[scheme]:g}"
+                    expected += f",{scaling.label()}"
                 assert labels[pick] == expected
 
 
@@ -347,12 +367,12 @@ class TestDeadRows:
             stream, EvaluationConfig(warmup_size=50, history_size=50, **self.SMALL_GRIDS)
         )
         assert set(res.totals()) == set(ALL_SCHEMES)
-        dead = next(s for s in res.steps if s.time_index == 150)
-        assert set(dead.pooled_log_scores.values()) == {-np.inf}
-        later = res.steps[-1]
-        live_history = np.delete(scores[50 : later.time_index], 150 - 50, axis=0)
+        dead = res.reported_times.tolist().index(150)
+        assert {float(s[dead]) for s in res.pooled_log_scores.values()} == {-np.inf}
+        later = res.reported_times[-1]
+        live_history = np.delete(scores[50:later], 150 - 50, axis=0)
         np.testing.assert_array_equal(
-            later.weights[SCHEME_GLOBAL_OPT].values,
+            res.weights[SCHEME_GLOBAL_OPT][-1],
             optimize_pool_weights(live_history).values,
         )
 
@@ -371,33 +391,36 @@ class TestDeadRows:
             EvaluationStream(base.pooling_points, base.outcomes, scores, base.expert_names),
             config,
         )
-        live = np.any(scores[res.candidate_times] > -np.inf, axis=1)
-        assert not live[res.candidate_times == 150].any() and live.sum() == live.size - 1
+        times = res.history.time_indices
+        live = np.any(scores[times] > -np.inf, axis=1)
+        assert not live[times == 150].any() and live.sum() == live.size - 1
         for scheme in (SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT):
             rows = res.candidate_log_scores[scheme]
             assert np.all(rows[~live] == -np.inf)
             assert np.all(np.isfinite(rows[live].sum(axis=0)))
             labels = res.candidate_labels[scheme]
-            for step in res.steps:
+            for r, time_index in enumerate(res.reported_times):
                 cum = np.zeros(rows.shape[1])
-                for i, ti in enumerate(res.candidate_times):
-                    if ti >= step.time_index:
+                for i, ti in enumerate(times):
+                    if ti >= time_index:
                         break
                     if live[i]:
                         cum = cum + rows[i]
-                chosen = f"width={step.chosen_width[scheme]:g}"
+                width, scaling = _chosen(res, scheme, r)
+                chosen = f"width={width:g}"
                 if scheme == SCHEME_LOCAL_SOFTMAX:
-                    chosen += f",{step.chosen_scaling[scheme]}"
+                    chosen += f",{scaling.label()}"
                 assert labels[select_hyperparameters(cum)] == chosen
         # Were the dead row counted, every total would be -inf from step 151
         # on and the first cell (width=0.5, tau=1) would win every step.
         # The softmax picks match the stream without the dead row instead.
         clean = rolling_evaluate(base, config)
         softmax = SCHEME_LOCAL_SOFTMAX
-        for step, clean_step in zip(res.steps, clean.steps):
-            if step.time_index > 150:
-                assert step.chosen_width[softmax] == clean_step.chosen_width[softmax]
-                assert step.chosen_scaling[softmax] == clean_step.chosen_scaling[softmax]
+        np.testing.assert_array_equal(clean.reported_times, res.reported_times)
+        after = res.reported_times > 150
+        np.testing.assert_array_equal(
+            res.chosen_cells[softmax][after], clean.chosen_cells[softmax][after]
+        )
 
     def test_all_dead_history_gives_exactly_equal_weights(self):
         rng = np.random.default_rng(4)
@@ -408,12 +431,12 @@ class TestDeadRows:
             ("a", "b", "c"),
         )
         config = EvaluationConfig(warmup_size=0, history_size=4, **self.SMALL_GRIDS)
-        for step in rolling_evaluate(stream, config).steps:
-            for scheme in (SCHEME_GLOBAL_OPT, SCHEME_LOCAL_OPT):
-                np.testing.assert_array_equal(
-                    step.weights[scheme].values, equal_weights(3).values
-                )
-            assert set(step.pooled_log_scores.values()) == {-np.inf}
+        res = rolling_evaluate(stream, config)
+        for scheme in (SCHEME_GLOBAL_OPT, SCHEME_LOCAL_OPT):
+            for weights in res.weights[scheme]:
+                np.testing.assert_array_equal(weights, equal_weights(3).values)
+        for scores in res.pooled_log_scores.values():
+            assert np.all(scores == -np.inf)
 
 
 class TestSoftmaxGlobalLimit:
@@ -427,8 +450,8 @@ class TestSoftmaxGlobalLimit:
             schemes=(SCHEME_LOCAL_SOFTMAX,),
         )
         res = rolling_evaluate(stream, cfg)
-        for step in (res.steps[0], res.steps[-1]):
-            t = step.time_index
+        for i in (0, -1):
+            t = res.reported_times[i]
             past = stream.log_scores[:t]
             est = caliper_elpd(
                 _history_from(stream, t), stream.pooling_points[t], math.inf
@@ -436,11 +459,12 @@ class TestSoftmaxGlobalLimit:
             np.testing.assert_array_equal(est.estimates, past.mean(axis=0))
             assert est.neighbor_count == t
             np.testing.assert_array_equal(
-                step.weights[SCHEME_LOCAL_SOFTMAX].values,
+                res.weights[SCHEME_LOCAL_SOFTMAX][i],
                 softmax_weights(est, NATURAL).values,
             )
-            assert step.chosen_width[SCHEME_LOCAL_SOFTMAX] == math.inf
-            assert step.chosen_scaling[SCHEME_LOCAL_SOFTMAX] == "natural"
+            width, scaling = _chosen(res, SCHEME_LOCAL_SOFTMAX, i)
+            assert width == math.inf
+            assert scaling.label() == "natural"
 
 
 def _history_from(stream, upto):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -181,7 +182,7 @@ class TestEmitResults:
         result, paths = emitted
         summary = json.loads(paths["summary"].read_text())
         totals = result.totals()
-        assert summary["n_reported_steps"] == len(result.steps)
+        assert summary["n_reported_steps"] == result.reported_times.size
         for scheme, total in totals.items():
             assert summary["total_log_score"][scheme] == pytest.approx(
                 total, abs=1e-9
@@ -206,9 +207,29 @@ class TestEmitResults:
     def test_steps_csv_has_one_row_per_reported_step(self, emitted):
         result, paths = emitted
         lines = paths["steps"].read_text().splitlines()
-        assert len(lines) == 1 + len(result.steps)
+        assert len(lines) == 1 + result.reported_times.size
         first = lines[1].split(",")
-        assert int(first[0]) == result.steps[0].time_index
+        assert int(first[0]) == result.reported_times[0]
+
+    def test_steps_csv_rows_are_the_reported_arrays(self, emitted):
+        result, paths = emitted
+        with open(paths["steps"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        start = result.config.history_size
+        history = result.history
+        for i, row in enumerate(rows):
+            assert int(row["t"]) == result.reported_times[i]
+            assert float(row["y"]) == history.outcomes[start + i]
+            assert float(row["z_1"]) == history.pooling_points[start + i, 0]
+            for scheme in result.config.schemes:
+                assert float(row[f"pooled_{scheme}"]) == result.pooled_log_scores[scheme][i]
+                written = [float(row[f"w_{scheme}_{n}"]) for n in result.expert_names]
+                np.testing.assert_array_equal(written, result.weights[scheme][i])
+                width, scaling = result.cells[scheme][result.chosen_cells[scheme][i]]
+                if width is not None:
+                    assert float(row[f"width_{scheme}"]) == width
+                if scaling is not None:
+                    assert row[f"scaling_{scheme}"] == scaling.label()
 
     def test_manifest_contents(self, emitted):
         result, paths = emitted

@@ -88,14 +88,14 @@ def _reference_cells(history: History, point, config: EvaluationConfig) -> dict:
     return cells
 
 
-def _chosen_cell(step, scheme: str, config: EvaluationConfig) -> int:
+def _chosen_cell(res, scheme: str, r: int, config: EvaluationConfig) -> int:
+    """Where the cell chosen at reported step ``r`` sits in ``_reference_cells`` order."""
+    width, scaling = res.cells[scheme][res.chosen_cells[scheme][r]]
     widths = config.width_grid
     if scheme == SCHEME_LOCAL_OPT:
-        return widths.index(step.chosen_width[scheme])
+        return widths.index(width)
     labels = [s.label() for s in config.scaling_grid]
-    return widths.index(step.chosen_width[scheme]) * len(labels) + labels.index(
-        step.chosen_scaling[scheme]
-    )
+    return widths.index(width) * len(labels) + labels.index(scaling.label())
 
 
 def check_against_per_cell_reference(stream: EvaluationStream, config: EvaluationConfig) -> None:
@@ -120,15 +120,15 @@ def check_against_per_cell_reference(stream: EvaluationStream, config: Evaluatio
                 assert _same_bits(ledger, expected), (scheme, t, ledger, expected)
         if t < report_from:
             continue
-        step = res.steps[t - report_from]
-        assert step.time_index == stream.time_indices[t]
+        r = t - report_from
+        assert res.reported_times[r] == stream.time_indices[t]
         for scheme in config.schemes:
-            pick = _chosen_cell(step, scheme, config) if scheme in res.candidate_log_scores else 0
+            pick = _chosen_cell(res, scheme, r, config) if scheme in res.candidate_log_scores else 0
             weights = cells[scheme][pick][0]
-            reported = step.weights[scheme].values
+            reported = res.weights[scheme][r]
             assert _on_simplex(reported)
             assert _same_bits(reported, weights.values), (scheme, t, reported, weights.values)
-            assert _same_bits(step.pooled_log_scores[scheme], pooled_log_scores(weights, row)[0])
+            assert _same_bits(res.pooled_log_scores[scheme][r], pooled_log_scores(weights, row)[0])
 
 
 def check_no_lookahead(stream: EvaluationStream, config: EvaluationConfig, cut: int, seed: int) -> None:
@@ -149,13 +149,11 @@ def check_no_lookahead(stream: EvaluationStream, config: EvaluationConfig, cut: 
     before = cut - config.warmup_size
     for scheme in a.candidate_log_scores:
         assert _same_bits(a.candidate_log_scores[scheme][:before], b.candidate_log_scores[scheme][:before])
-    for sa, sb in zip(a.steps, b.steps):
-        if sa.time_index >= stream.time_indices[cut]:
-            break
-        assert sa.chosen_width == sb.chosen_width and sa.chosen_scaling == sb.chosen_scaling
-        for scheme in config.schemes:
-            assert _same_bits(sa.weights[scheme].values, sb.weights[scheme].values)
-            assert _same_bits(sa.pooled_log_scores[scheme], sb.pooled_log_scores[scheme])
+    reported = a.reported_times < stream.time_indices[cut]
+    for scheme in config.schemes:
+        assert _same_bits(a.chosen_cells[scheme][reported], b.chosen_cells[scheme][reported])
+        assert _same_bits(a.weights[scheme][reported], b.weights[scheme][reported])
+        assert _same_bits(a.pooled_log_scores[scheme][reported], b.pooled_log_scores[scheme][reported])
 
 
 WIDTHS = (1e-6, 0.05, 0.5, 1.0, 2.5, math.inf)
@@ -224,10 +222,9 @@ def test_zero_weight_on_the_best_current_expert(stream, scaling):
         width_grid=(math.inf,), scaling_grid=(scaling,), schemes=(SCHEME_LOCAL_SOFTMAX,)
     )
     res = rolling_evaluate(stream, config)
-    last = res.steps[-1]
-    weights = last.weights[SCHEME_LOCAL_SOFTMAX]
-    assert weights.values[0] == 0.0
-    expected = pooled_log_scores(PoolWeights(weights.values), stream.log_scores[-1:])[0]
+    weights = res.weights[SCHEME_LOCAL_SOFTMAX][-1]
+    assert weights[0] == 0.0
+    expected = pooled_log_scores(PoolWeights(weights), stream.log_scores[-1:])[0]
     assert expected == -800.0
     assert _same_bits(res.candidate_log_scores[SCHEME_LOCAL_SOFTMAX][-1, 0], expected)
-    assert _same_bits(last.pooled_log_scores[SCHEME_LOCAL_SOFTMAX], expected)
+    assert _same_bits(res.pooled_log_scores[SCHEME_LOCAL_SOFTMAX][-1], expected)
