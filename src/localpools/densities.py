@@ -68,15 +68,17 @@ def check_simplex_rows(rows: np.ndarray) -> None:
     ``WEIGHT_SUM_TOL``.  ``PoolWeights`` checks its vector here as a row of
     one; the evaluation harness checks every grid cell of a step at once.
     """
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("weights must be finite")
-    if np.any(rows < 0.0) or np.any(rows > 1.0):
+    # The extremes answer both entrywise checks at once: a NaN or infinite
+    # entry makes one of them fail the range too.
+    if rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
+        if not np.isfinite(rows).all():
+            raise ValueError("weights must be finite")
         raise ValueError("each weight must lie in [0, 1]")
     totals = rows.sum(axis=1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > WEIGHT_SUM_TOL)
-    if off.size:
+    off = np.abs(totals - 1.0) > WEIGHT_SUM_TOL
+    if off.any():
         raise ValueError(
-            f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {float(totals[off[0]])!r}"
+            f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {float(totals[off.argmax()])!r}"
         )
 
 

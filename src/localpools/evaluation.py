@@ -92,9 +92,10 @@ class Scheme:
     grid: Callable[[PoolQuery], np.ndarray]
 
 
-# The rules reach the optimizer and the caliper routine through the pools
-# module's globals, so wrapping either from outside (as the benchmark's
-# tracer does) reaches every scheme.
+# The rules fit through ``optimize_pool_weights`` in the pools module's
+# globals and find calipers through ``History.distances``, so wrapping
+# either from outside (as the benchmark's tracer does) reaches every fit
+# and every caliper of every scheme.
 SCHEMES = {
     SCHEME_LOCAL_SOFTMAX: Scheme(("width", "scaling"), PoolQuery.softmax),
     SCHEME_EQUAL: Scheme((), PoolQuery.equal),
@@ -281,14 +282,13 @@ class EvaluationResult:
 
     @property
     def live_rows(self) -> np.ndarray:
-        """Mask of the ledger rows that count toward the shadow totals."""
-        return _live_rows(self.history.score_matrix)
+        """Mask of the ledger rows that count toward the shadow totals.
 
-
-def _live_rows(log_scores: np.ndarray) -> np.ndarray:
-    # A row where every expert scores -inf scores -inf in every cell: it
-    # cannot rank cells, and summed in it would tie every total at -inf.
-    return np.any(log_scores > -np.inf, axis=1)
+        These are the history's live rows: a dead row scores -inf in every
+        cell, so it cannot rank cells, and summed in it would tie every
+        total at -inf.
+        """
+        return self.history.live_rows
 
 
 def select_hyperparameters(candidate_cumulative) -> int:
@@ -362,7 +362,6 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
     weights = {scheme: np.empty((n_reported, stream.n_experts)) for scheme in schemes}
     pooled = {scheme: np.empty(n_reported) for scheme in schemes}
     chosen = {scheme: np.zeros(n_reported, dtype=int) for scheme in schemes}
-    live = _live_rows(stream.log_scores)
 
     for row, t in enumerate(range(config.warmup_size, T)):
         z = stream.pooling_points[t]
@@ -393,10 +392,6 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
                 pooled[scheme][report] = shadow[scheme][pick]
                 chosen[scheme][report] = pick
 
-        if live[t]:
-            for name, table in ledger.items():
-                cand_cum[name] = cand_cum[name] + table[row]
-
         history.append(
             PredictionRecord(
                 time_index=stream.time_indices[t],
@@ -405,6 +400,10 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
                 log_scores=expert_row,
             )
         )
+        # The step's row is history row ``row`` now; only live rows count.
+        if history.live_rows[row]:
+            for name, table in ledger.items():
+                cand_cum[name] = cand_cum[name] + table[row]
 
     for arrays in (weights, pooled, chosen, ledger):
         for array in arrays.values():

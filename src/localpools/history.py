@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PredictionRecord", "History", "check_widths"]
+__all__ = ["PredictionRecord", "History", "caliper_rows", "check_widths"]
 
 # A pooling dimension that never varies carries no distance information;
 # dividing by its (near-)zero spread would blow every distance up to inf.
@@ -56,8 +56,9 @@ class History:
     """Time-ordered scored predictions with caliper neighbourhood queries.
 
     Records are held as four read-only arrays (times, pooling points,
-    outcomes, expert scores).  Growth replaces them with longer fresh
-    arrays, so an array read earlier never changes.  Appends must carry
+    outcomes, expert scores) and a live flag per row.  Growth replaces
+    them with longer fresh arrays, so an array read earlier never
+    changes.  Appends must carry
     strictly increasing ``time_index`` values and a consistent pooling
     dimension / expert count.  Standardisation moments are recomputed
     whenever the history grows.
@@ -74,6 +75,7 @@ class History:
         self._points = np.empty((0, self._n_dims))
         self._outcomes = np.empty(0)
         self._scores = np.empty((0, self._n_experts))
+        self._live = np.empty(0, dtype=bool)
         self._mean = np.zeros(self._n_dims)
         self._std = np.ones(self._n_dims)
         # Largest magnitude per column (floored at 1), kept as a running max.
@@ -145,7 +147,10 @@ class History:
         self._points = np.concatenate([self._points, points])
         self._outcomes = np.concatenate([self._outcomes, outcomes])
         self._scores = np.concatenate([self._scores, scores])
-        for array in (self._times, self._points, self._outcomes, self._scores):
+        # A row on which every expert scores -inf is dead: every pool
+        # scores -inf there, so it cannot rank pools or weights.
+        self._live = np.concatenate([self._live, (scores > -np.inf).any(axis=1)])
+        for array in (self._times, self._points, self._outcomes, self._scores, self._live):
             array.flags.writeable = False
         self._mean = self._points.mean(axis=0)
         # np.std's own arithmetic, from the mean just taken instead of a second one.
@@ -184,6 +189,11 @@ class History:
     def outcomes(self) -> np.ndarray:
         return self._outcomes
 
+    @property
+    def live_rows(self) -> np.ndarray:
+        """(n,) read-only mask of the rows on which some expert scores above -inf."""
+        return self._live
+
     # -- standardisation and neighbourhoods ----------------------------
 
     @property
@@ -218,11 +228,17 @@ class History:
 
     def calipers(self, point, widths) -> list[np.ndarray]:
         """``caliper_neighbors`` for every width, from one distance pass."""
-        check_widths(widths)
-        if len(self) == 0:
-            return [np.empty(0, dtype=int) for _ in widths]
-        dist = self.distances(point)
-        return [np.nonzero(dist <= width)[0] for width in widths]
+        return caliper_rows(self.distances(point), widths)
+
+
+def caliper_rows(dist: np.ndarray, widths) -> list[np.ndarray]:
+    """Indices of the entries of ``dist`` at most each width away (inclusive).
+
+    ``dist`` is one ``History.distances`` pass; this is how every caliper
+    is cut from it.
+    """
+    check_widths(widths)
+    return [np.nonzero(dist <= width)[0] for width in widths]
 
 
 def check_widths(widths) -> None:

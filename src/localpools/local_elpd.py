@@ -82,10 +82,18 @@ def caliper_grid(history: History, point, widths) -> tuple[list[np.ndarray], np.
     One distance pass serves the whole grid.  Returns the row indices
     inside each caliper and a (widths, K) array whose row ``j`` averages
     the expert scores over ``widths[j]``'s rows (zeros when it holds
-    none).  Calipers around one point are nested, so two widths with the
-    same neighbour count hold the same rows and share one average.
+    none).
     """
     neighbors = history.calipers(point, widths)
+    return neighbors, _caliper_means(history, neighbors)
+
+
+def _caliper_means(history: History, neighbors) -> np.ndarray:
+    """Per-expert average log scores over each caliper's rows, zeros on none.
+
+    Calipers around one point are nested, so two with the same neighbour
+    count hold the same rows and share one average.
+    """
     estimates = np.zeros((len(neighbors), history.n_experts))
     means: dict[int, np.ndarray] = {}
     for row, idx in zip(estimates, neighbors):
@@ -93,7 +101,7 @@ def caliper_grid(history: History, point, widths) -> tuple[list[np.ndarray], np.
             if idx.size not in means:
                 means[idx.size] = history.score_matrix[idx].mean(axis=0)
             row[:] = means[idx.size]
-    return neighbors, estimates
+    return estimates
 
 
 @lru_cache(maxsize=8)

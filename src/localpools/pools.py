@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .densities import PoolWeights, pooled_rows
-from .history import History
-from .local_elpd import LocalElpdEstimate, caliper_grid
+from .history import History, caliper_rows
+from .local_elpd import LocalElpdEstimate, _caliper_means
 
 __all__ = [
     "NaturalScaling",
@@ -148,7 +148,9 @@ def _on_simplex(w: np.ndarray) -> np.ndarray:
 
 # Each helper below takes ``A``, the score block with every row shifted
 # by its maximum and exponentiated, and ``pooled = A . w`` at the current
-# weights; the objective is ``f(w) = mean_t log(A_t . w)``.
+# weights; the objective is ``f(w) = mean_t log(A_t . w)``.  They run
+# inside ``_certified_fit``'s ``np.errstate``: a step that leaves some row
+# with no pooled density has a gain of -inf or NaN, which is no gain.
 
 
 def _gradient(A: np.ndarray, pooled: np.ndarray) -> np.ndarray:
@@ -163,9 +165,8 @@ def _gain(A: np.ndarray, w_new: np.ndarray, w: np.ndarray, pooled: np.ndarray) -
     a sum to one does not pass for a change of ``f``.
     """
     step = w_new - w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log1p((A @ step) / pooled).sum() / len(A)
-    return float(ratio) - math.log1p(math.fsum(step) / math.fsum(w))
+    ratio = np.log1p((A @ step) / pooled).sum() / len(A)
+    return float(ratio) - math.log1p(math.fsum(step.tolist()) / math.fsum(w.tolist()))
 
 
 def _squarem_step(A, w, pooled, g):
@@ -305,34 +306,34 @@ def optimize_pool_weights(
     Returns the ``PoolWeights``, or ``(weights, objective_history)`` when
     ``return_history`` is set.  The history holds ``f`` at the start and
     after every iterate, each entry the last plus the iterate's gain
-    (just the start, ``-inf``, when no row remains).  It is only
-    recorded, so the weights are bitwise the same either way.
+    (just the start, ``-inf``, when no row remains).  It is built from
+    the gains after the fit and only when asked; the iterates do not read
+    it, so the weights are bitwise the same either way.
+
+    This function is the checked boundary: the checks, the dead-row rule,
+    the shift, the warning and the ``PoolWeights`` wrap.  The iterates
+    run in ``_certified_fit``.  ``PoolQuery`` fits through this function
+    too, so wrapping it from outside sees every fit.
     """
     E = np.asarray(log_scores, dtype=float)
     if E.ndim != 2 or E.size == 0:
         raise ValueError("log_scores must be a nonempty (rows, experts) matrix")
-    if np.any(np.isnan(E)) or np.any(E == np.inf):
-        raise ValueError("log scores must be NaN-free and below +inf")
+    # Taken column by column, which is cheaper than along the short rows.
+    # np.maximum passes NaN on, so the row maxima show every NaN or +inf
+    # entry, and every dead row.
+    row_max = reduce(np.maximum, E.T)
     k = E.shape[1]
-    row_max = E.max(axis=1)
-    dead = row_max == -np.inf
-    if np.all(dead):
-        weights = equal_weights(k)
-        return (weights, np.array([-np.inf])) if return_history else weights
-    if np.any(dead):
-        E, row_max = E[~dead], row_max[~dead]
+    if not np.isfinite(row_max).all():
+        if not row_max.max() < np.inf:
+            raise ValueError("log scores must be NaN-free and below +inf")
+        live = row_max > -np.inf
+        if not live.any():
+            weights = equal_weights(k)
+            return (weights, np.array([-np.inf])) if return_history else weights
+        E, row_max = E[live], row_max[live]
     A = np.exp(E - row_max[:, None])
-
-    w = np.full(k, 1.0 / k)
-    pooled = A @ w
-    g = _gradient(A, pooled)
-    trace = [float(np.log(pooled).sum()) / len(A) + float(np.mean(row_max))]
-    while (gap := math.log(g.max())) > gap_tol and len(trace) <= max_iter:
-        step = _squarem_step if len(trace) <= _SQUAREM_ITERATES else _newton_step
-        w, gain = step(A, w, pooled, g)
-        pooled = A @ w
-        g = _gradient(A, pooled)
-        trace.append(trace[-1] + gain)
+    gains = [] if return_history else None
+    w, gap = _certified_fit(A, gap_tol, max_iter, gains)
     if gap > gap_tol:
         warnings.warn(
             f"optimize_pool_weights stopped after {max_iter} iterates at a "
@@ -342,8 +343,39 @@ def optimize_pool_weights(
         )
     weights = PoolWeights(w)
     if return_history:
+        start = A @ np.full(k, 1.0 / k)
+        trace = [float(np.log(start).sum()) / len(A) + float(np.mean(row_max))]
+        for gain in gains:
+            trace.append(trace[-1] + gain)
         return weights, np.array(trace)
     return weights
+
+
+def _certified_fit(A: np.ndarray, gap_tol: float, max_iter: int, gains: list | None):
+    """The iterates of ``optimize_pool_weights`` on its shifted live rows: ``(w, gap)``.
+
+    ``A`` is an (n, K) block, n >= 1, of rows ``exp(E_t - max_t E_t)``
+    with no row all zero.  Starting from exactly ``1/K``, the iterates run
+    until the duality gap is at most ``gap_tol`` or ``max_iter`` of them
+    have run; ``w`` is the last one, unchecked and unwrapped, and ``gap``
+    its certificate.  Each iterate's gain in ``f`` is appended to
+    ``gains`` when that is a list.
+    """
+    k = A.shape[1]
+    w = np.full(k, 1.0 / k)
+    iterates = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pooled = A @ w
+        g = _gradient(A, pooled)
+        while (gap := math.log(g.max())) > gap_tol and iterates < max_iter:
+            step = _squarem_step if iterates < _SQUAREM_ITERATES else _newton_step
+            w, gain = step(A, w, pooled, g)
+            pooled = A @ w
+            g = _gradient(A, pooled)
+            iterates += 1
+            if gains is not None:
+                gains.append(gain)
+    return w, gap
 
 
 def pooled_log_scores(weights: PoolWeights, log_scores) -> np.ndarray:
@@ -374,7 +406,7 @@ class PoolQuery:
 
     Each rule returns a (cells, K) array of weights, width-major; a query
     with one width and one scaling is a grid of one.  The calipers of
-    every width come from one distance pass (``caliper_grid``), and each
+    every width come from one distance pass (``distances``), and each
     distinct block of history rows is fitted once: calipers around one
     point are nested, so a neighbour count names its rows, and a caliper
     holding every record holds the block ``global_opt`` fits.  A query
@@ -402,9 +434,19 @@ class PoolQuery:
         return query
 
     @cached_property
+    def distances(self) -> np.ndarray:
+        """``History.distances`` of the point: the query's one distance pass."""
+        return self.history.distances(self.point)
+
+    def caliper_grid(self, widths) -> tuple[list[np.ndarray], np.ndarray]:
+        """``caliper_grid`` of the point over ``widths``, from ``distances``."""
+        neighbors = caliper_rows(self.distances, widths)
+        return neighbors, _caliper_means(self.history, neighbors)
+
+    @cached_property
     def calipers(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """``caliper_grid`` of the point over the widths."""
-        return caliper_grid(self.history, self.point, self.widths)
+        """``caliper_grid`` of the point over the query's widths."""
+        return self.caliper_grid(self.widths)
 
     def equal(self) -> np.ndarray:
         k = self.history.n_experts
@@ -421,15 +463,18 @@ class PoolQuery:
         return np.array([self._fit(idx) for idx in self.calipers[0]])
 
     def _fit(self, rows: np.ndarray) -> np.ndarray:
-        """``optimize_pool_weights`` on the history rows ``rows``; 1/K on none."""
+        """``optimize_pool_weights`` on the history's live rows among ``rows``; 1/K on none.
+
+        The cached weights are read-only, as ``PoolWeights.values`` are.
+        """
         whole = rows.size == len(self.history)
         fits = self._whole if whole else self._fits
         if rows.size not in fits:
-            if rows.size == 0:
+            live = rows[self.history.live_rows[rows]]
+            if live.size == 0:
                 weights = self.equal()[0]
+                weights.flags.writeable = False
             else:
-                scores = self.history.score_matrix
-                block = scores if whole else scores[rows]
-                weights = optimize_pool_weights(block).values
+                weights = optimize_pool_weights(self.history.score_matrix[live]).values
             fits[rows.size] = weights
         return fits[rows.size]

@@ -44,7 +44,7 @@ from .experts import (
     nig_update,
 )
 from .history import History, check_widths
-from .local_elpd import LocalElpdEstimate, caliper_grid, quadrature_rule
+from .local_elpd import LocalElpdEstimate, quadrature_rule
 from .pools import NATURAL, PoolQuery, softmax_weights
 
 __all__ = [
@@ -362,7 +362,8 @@ def replication_studies(
     the simplex, pooled against the table and dotted with them too.
     Schemes without a width ignore the point, so their weights are built
     once per replication, and ``local_opt`` shares the whole-history fit
-    across points (``PoolQuery.at``).
+    across points (``PoolQuery.at``).  Both studies' calipers at a point
+    come from that point's one distance pass.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications for a stable picture")
@@ -402,10 +403,10 @@ def replication_studies(
     for r, child in enumerate(_replication_seeds(config.seed, replications)):
         data = _generate(np.random.default_rng(child), config)
         fitted, history = _fit_and_score_split(data, experts, train_size)
+        whole = PoolQuery(history)
         if run_pool:
             # A scheme without a caliper width ignores the query point, so
             # its weights are built once per replication, a row per width.
-            whole = PoolQuery(history)
             global_cells = {
                 scheme: np.repeat(SCHEMES[scheme].grid(whole), len(pool_widths), axis=0)
                 for scheme in schemes
@@ -428,13 +429,14 @@ def replication_studies(
                     for post in fitted
                 ]
             )
+            # One query per point: both studies' calipers share its distances.
+            query = whole.at(z, pool_widths or (), (NATURAL,))
             if run_errors:
                 truths[m, r] = [float(quad_weights @ row) for row in table]
-                neighbors, estimates = caliper_grid(history, z, error_widths)
+                neighbors, estimates = query.caliper_grid(error_widths)
                 errors[m, r] = estimates - truths[m, r]
                 counts[m, r] = [idx.size for idx in neighbors]
             if run_pool:
-                query = whole.at(z, pool_widths, (NATURAL,))
                 cells = np.concatenate(
                     [
                         global_cells[s] if s in global_cells else SCHEMES[s].grid(query)

@@ -57,7 +57,13 @@ class TestPoolWeights:
     def test_rows_are_checked_together(self):
         good = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
         check_simplex_rows(good)
-        for row, message in (([0.5, 0.6], "sum to 1"), ([1.5, -0.5], r"\[0, 1\]"), ([np.nan, 1.0], "finite")):
+        for row, message in (
+            ([0.5, 0.6], "sum to 1"),
+            ([1.5, -0.5], r"\[0, 1\]"),
+            ([np.nan, 1.0], "finite"),
+            ([0.5, np.inf], "finite"),
+            ([-np.inf, 1.0], "finite"),
+        ):
             bad = good.copy()
             bad[1] = row
             with pytest.raises(ValueError, match=message):

@@ -277,14 +277,22 @@ def _blocks(draw):
 @settings(max_examples=100, deadline=None)
 def test_from_arrays_matches_appending_row_by_row(block, width):
     """One block and the same rows appended one by one give the same bits,
-    and an array read before later appends never changes."""
+    and an array read before later appends never changes.  The live flags,
+    set one row at a time as the history grows or all at once, mark the
+    rows on which some expert scores above -inf."""
     times, points, outcomes, scores, query = block
     whole = History.from_arrays(times, points, outcomes, scores)
     grown = History(points.shape[1], scores.shape[1])
     read = []
     for i in range(len(times)):
         grown.append(_record(times[i], points[i], scores[i], y=outcomes[i]))
-        views = (grown.time_indices, grown.pooling_points, grown.outcomes, grown.score_matrix)
+        views = (
+            grown.time_indices,
+            grown.pooling_points,
+            grown.outcomes,
+            grown.score_matrix,
+            grown.live_rows,
+        )
         read.append((views, [view.copy() for view in views]))
     for views, copies in read:
         for view, copy in zip(views, copies):
@@ -306,3 +314,8 @@ def test_from_arrays_matches_appending_row_by_row(block, width):
     for a, b in pairs:
         assert _same_bits(a, b)
     assert whole.caliper_neighbors(query, np.inf).size == len(times)
+
+    live = np.any(scores > -np.inf, axis=1)
+    for history in (whole, grown):
+        assert not history.live_rows.flags.writeable
+        assert _same_bits(history.live_rows, live)

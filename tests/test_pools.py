@@ -133,9 +133,12 @@ class TestOptimizePoolWeights:
         with pytest.raises(ValueError):
             optimize_pool_weights(np.empty((0, 2)))
         with pytest.raises(ValueError):
-            optimize_pool_weights(np.array([[0.0, np.nan]]))
-        with pytest.raises(ValueError):
             optimize_pool_weights(np.array([-1.0, -2.0]))  # 1-D
+        # A NaN or +inf entry anywhere, beside dead rows or not, is refused.
+        for bad in ([[0.0, np.nan]], [[np.nan, 0.0]], [[-np.inf, np.nan]], [[0.0, -1.0], [np.inf, 0.0]],
+                    [[-np.inf, -np.inf], [-np.inf, np.inf]], [[np.nan], [-1.0]]):
+            with pytest.raises(ValueError, match="NaN-free and below"):
+                optimize_pool_weights(np.array(bad))
 
     def test_rows_with_every_expert_dead_are_dropped(self):
         rng = np.random.default_rng(8)
@@ -308,11 +311,13 @@ class TestLocalOptWeights:
         assert counts[0] == 0 and counts[1] == counts[2] and counts[-1] == len(h)
         fitted = []
 
-        def counting(scores):
-            fitted.append(len(scores))
-            return optimize_pool_weights(scores)
+        fit = pools._certified_fit
 
-        monkeypatch.setattr(pools, "optimize_pool_weights", counting)
+        def counting(A, *args):
+            fitted.append(len(A))
+            return fit(A, *args)
+
+        monkeypatch.setattr(pools, "_certified_fit", counting)
         query = PoolQuery(h, point, widths)
         whole = query.global_opt()
         cells = query.local_opt()
@@ -321,6 +326,35 @@ class TestLocalOptWeights:
         np.testing.assert_array_equal(whole[0], optimize_pool_weights(h.score_matrix).values)
         for width, row in zip(widths, cells):
             np.testing.assert_array_equal(row, local_opt_weights(h, point, width).values)
+
+
+    def test_at_shares_only_the_whole_history_fit(self):
+        """Calipers of equal count around two points hold different rows, so
+        queries made with ``at`` must not share their fits."""
+        h = self._history()
+        widths = (0.5, np.inf)
+        left_point, right_point = (-1.55,), (2.45,)
+        counts = [h.calipers(p, widths[:1])[0].size for p in (left_point, right_point)]
+        assert counts[0] == counts[1] > 0
+        shared = PoolQuery(h)
+        left = shared.at(left_point, widths).local_opt()
+        right = shared.at(right_point, widths).local_opt()
+        np.testing.assert_array_equal(left, PoolQuery(h, left_point, widths).local_opt())
+        np.testing.assert_array_equal(right, PoolQuery(h, right_point, widths).local_opt())
+        assert left[0, 0] > 0.5 > right[0, 0]
+
+    def test_shared_fits_are_read_only(self):
+        """A fit the query caches, and the whole-history fit it shares with
+        ``at``, cannot be written through the rows a rule returns."""
+        h = self._history()
+        dead = History.from_arrays(np.arange(2), np.zeros((2, 1)), np.zeros(2), np.full((2, 2), -np.inf))
+        for history in (h, dead, History(1, 2)):
+            query = PoolQuery(history, (0.0,), (0.5, np.inf))
+            whole = query.global_opt()
+            assert not whole.flags.writeable
+            with pytest.raises(ValueError):
+                whole[0, 0] = 0.0
+            np.testing.assert_array_equal(query.at((1.0,), (np.inf,)).global_opt(), whole)
 
 
 class TestPooledLogScores:

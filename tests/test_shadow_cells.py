@@ -2,9 +2,11 @@
 
 The harness scores every grid cell of every step together.  These tests
 rebuild each cell alone from the public builders (``caliper_elpd``,
-``softmax_weights``, ``local_opt_weights``, ``optimize_pool_weights`` and
-``pooled_log_scores``) on the history before its step, and ask for the
-same bits.
+``softmax_weights``, ``optimize_pool_weights`` on the caliper's rows of
+the score matrix, and ``pooled_log_scores``) on the history before its
+step, and ask for the same bits.  None of them goes through ``PoolQuery``,
+so the harness's block gathering, live-row filter and per-block fit cache
+are checked against one optimizer call on each caliper's whole block.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from localpools.pools import (
     NATURAL,
     FixedScaling,
     equal_weights,
-    local_opt_weights,
     optimize_pool_weights,
     pooled_log_scores,
     softmax_weights,
@@ -77,7 +78,10 @@ def _reference_cells(history: History, point, config: EvaluationConfig) -> dict:
         for scaling in config.scaling_grid:
             fallback = estimate.neighbor_count == 0 or scaling.factor(estimate.neighbor_count) == 0.0
             softmax.append((softmax_weights(estimate, scaling), fallback))
-        local_opt.append((local_opt_weights(history, point, width), estimate.neighbor_count == 0))
+        # An empty caliper, or one of dead rows only, is exactly 1/K.
+        block = history.score_matrix[history.caliper_neighbors(point, width)]
+        fit = optimize_pool_weights(block) if len(block) else equal_weights(k)
+        local_opt.append((fit, not np.any(block > -np.inf)))
     cells[SCHEME_LOCAL_SOFTMAX] = softmax
     cells[SCHEME_LOCAL_OPT] = local_opt
     cells[SCHEME_EQUAL] = [(equal_weights(k), True)]

@@ -9,7 +9,7 @@ from localpools import pools
 from localpools.densities import Mixture
 from localpools.experts import design_vector, nig_predictive, nig_update
 from localpools.local_elpd import LocalElpdEstimate, true_local_elpd
-from localpools.pools import NATURAL, local_opt_weights, optimize_pool_weights, softmax_weights
+from localpools.pools import NATURAL, local_opt_weights, softmax_weights
 from localpools.simulation import (
     DEFAULT_ERROR_WIDTHS,
     DEFAULT_POOL_SCHEMES,
@@ -236,11 +236,13 @@ class TestPoolStudy:
         points, widths = ((2.0, 0.0), (0.0, 0.0)), (0.5, 2.0, 50.0)
         fitted = []
 
-        def counting(scores):
-            fitted.append(len(scores))
-            return optimize_pool_weights(scores)
+        fit = pools._certified_fit
 
-        monkeypatch.setattr(pools, "optimize_pool_weights", counting)
+        def counting(A, *args):
+            fitted.append(len(A))
+            return fit(A, *args)
+
+        monkeypatch.setattr(pools, "_certified_fit", counting)
         pool_comparison_study(
             points, widths, 100, FAST, schemes=("global_opt", "local_opt")
         )
