@@ -13,9 +13,11 @@ The set: the score CSV of ``bench/inputs.write_score_csv(..., 1, 800)``
 (taken from the checkout holding this script, so both trees read the same
 bytes); ``evaluate --simulate`` with its dumped stream; two ``evaluate``
 runs and one ``gridsearch`` on the CSV; two ``pool-once`` calls;
-``simulate --study both``; the standard output of each of these as
-``<name>.log``; and ``help.txt``, the ``--help`` text of the top level and
-of every subcommand.
+``simulate --study both``; ``dead.csv``, the same CSV with every expert
+scoring ``-inf`` on a few rows and one expert on every row, and one
+``evaluate`` and one ``gridsearch`` run on it; the standard output of each
+of these commands as ``<name>.log``; and ``help.txt``, the ``--help`` text
+of the top level and of every subcommand.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
 
 CSV_FLAGS = ["--scores", "scores.csv", "--warmup", "100", "--history", "100"]
+DEAD_FLAGS = ["--scores", "dead.csv", "--warmup", "100", "--history", "100"]
+# Rows of dead.csv on which every expert scores -inf: one in the history
+# batch, two adjacent and one alone among the reported steps.
+DEAD_ROWS = (150, 420, 421, 650)
+# The expert (by column order) that scores -inf on every row of dead.csv.
+DEAD_EXPERT = 1
 CALLS = {
     "ev_sim": [
         "evaluate", "--simulate", "--sample-size", "750", "--warmup", "50", "--history", "50",
@@ -49,6 +57,8 @@ CALLS = {
         "simulate", "--study", "both", "--replications", "100", "--sample-size", "1000",
         "--schemes", "local_softmax,equal,global_opt,local_opt", "--out", "sim",
     ],
+    "ev_dead": ["evaluate", *DEAD_FLAGS, "--out", "ev_dead"],
+    "gs_dead": ["gridsearch", *DEAD_FLAGS, "--out", "gs_dead"],
 }
 HELP = [[], ["simulate"], ["evaluate"], ["gridsearch"], ["pool-once"]]
 MAIN = "import sys; from localpools.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -63,9 +73,23 @@ def run_cli(argv: list[str], out: Path, src: Path) -> bytes:
     return done.stdout
 
 
+def write_dead_rows_csv(source: Path, path: Path) -> None:
+    """``source`` with every score ``-inf`` on ``DEAD_ROWS`` and in ``DEAD_EXPERT``'s column."""
+    header, *rows = source.read_text().splitlines()
+    experts = [j for j, name in enumerate(header.split(",")) if name.startswith("lp_")]
+    lines = [header]
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        for j in experts if i in DEAD_ROWS else experts[DEAD_EXPERT : DEAD_EXPERT + 1]:
+            cells[j] = "-inf"
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_reference_set(src: Path, out: Path) -> None:
     out.mkdir(parents=True)
     inputs.write_score_csv(out / "scores.csv", 1, 800)
+    write_dead_rows_csv(out / "scores.csv", out / "dead.csv")
     for name, argv in CALLS.items():
         (out / f"{name}.log").write_bytes(run_cli(argv, out, src))
     help_text = b"".join(run_cli([*cmd, "--help"], out, src) for cmd in HELP)

@@ -15,7 +15,6 @@ from .densities import (
     PoolWeights,
     PredictiveDensity,
     StudentT,
-    pooled_log_density,
 )
 from .evaluation import (
     ALL_SCHEMES,
@@ -72,7 +71,6 @@ __all__ = [
     "StudentT",
     "Mixture",
     "PoolWeights",
-    "pooled_log_density",
     "NigPosterior",
     "diffuse_nig",
     "design_vector",

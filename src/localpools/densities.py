@@ -21,7 +21,6 @@ __all__ = [
     "Gaussian",
     "StudentT",
     "Mixture",
-    "pooled_log_density",
     "pooled_rows",
     "student_t_log_pdf",
 ]
@@ -217,36 +216,3 @@ def pooled_rows(weights: np.ndarray, log_scores: np.ndarray) -> np.ndarray:
         total = (w * np.exp(lp - shift[..., None])).sum(axis=-1)
         return top + (np.log(total) - np.log(w.sum(axis=-1)))
 
-
-def pooled_log_density(weights: PoolWeights, expert_log_densities) -> float:
-    """Log density of the linear pool: log sum_k w_k exp(lp_k).
-
-    Parameters
-    ----------
-    weights : PoolWeights
-        Simplex weights, one per expert.
-    expert_log_densities : array_like
-        Per-expert log densities at a single outcome.  Entries may be
-        ``-inf``; NaN and ``+inf`` are rejected.
-
-    Returns
-    -------
-    float
-        ``-inf`` exactly when every positively weighted expert reports
-        zero density.  Bounded above by ``max_k lp_k`` and below by
-        ``max_k (log w_k + lp_k)``.
-    """
-    if not isinstance(weights, PoolWeights):
-        weights = PoolWeights(np.asarray(weights, dtype=float))
-    lp = np.asarray(expert_log_densities, dtype=float)
-    if lp.ndim != 1:
-        raise ValueError("expert log densities must form a 1-D vector")
-    if lp.size != len(weights):
-        raise ValueError(
-            f"got {len(weights)} weights for {lp.size} expert log densities"
-        )
-    if np.any(np.isnan(lp)):
-        raise ValueError("log densities must not be NaN")
-    if np.any(lp == np.inf):
-        raise ValueError("log densities must not be +inf")
-    return float(pooled_rows(weights.values, lp[None, :])[0])

@@ -320,15 +320,15 @@ def _cell_label(width, scaling) -> str:
     return ",".join(parts)
 
 
-def _pool_cells(grids: dict[str, np.ndarray], expert_row: np.ndarray) -> dict[str, np.ndarray]:
-    """Check every cell of a step on the simplex and pool them all in one pass."""
-    if not grids:
-        return {}
-    cells = np.concatenate(list(grids.values()))
-    check_simplex_rows(cells)
-    scores = pooled_rows(cells, expert_row)
-    ends = np.cumsum([len(grid) for grid in grids.values()])
-    return dict(zip(grids, np.split(scores, ends[:-1])))
+def _pool_cells(cells: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Check every cell on the simplex, then pool it against the expert scores.
+
+    ``cells`` holds one weight vector per leading index, (..., K), and
+    broadcasts against ``scores`` as ``pooled_rows`` describes.  The
+    harness and the replication studies score their cells here.
+    """
+    check_simplex_rows(cells.reshape(-1, cells.shape[-1]))
+    return pooled_rows(cells, scores)
 
 
 def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> EvaluationResult:
@@ -378,7 +378,11 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
             for scheme in schemes
             if report >= 0 or scheme in ledger
         }
-        shadow = _pool_cells(grids, expert_row)
+        shadow = {}
+        if grids:
+            scores = _pool_cells(np.concatenate(list(grids.values())), expert_row)
+            ends = np.cumsum([len(grid) for grid in grids.values()])
+            shadow = dict(zip(grids, np.split(scores, ends[:-1])))
         for name, table in ledger.items():
             table[row] = shadow[name]
 

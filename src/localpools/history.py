@@ -84,14 +84,8 @@ class History:
     # -- growth -------------------------------------------------------
 
     def append(self, record: PredictionRecord) -> None:
-        # ``PredictionRecord`` has checked the values; only the fit to this
-        # history and the time order are left to check.
-        self._check_shape(record.pooling_point.size, record.log_scores.size)
-        if self._times.size and record.time_index <= self._times[-1]:
-            raise ValueError(
-                f"time_index {record.time_index} not after last recorded {self._times[-1]}"
-            )
-        self._grow(
+        """Add one record after the last; ``PredictionRecord`` has checked its values."""
+        self._add_block(
             np.array([record.time_index]),
             record.pooling_point[None, :],
             np.array([record.outcome]),
@@ -115,34 +109,33 @@ class History:
             raise ValueError("cannot build a history from an empty block")
         if not (points.shape[0] == outcomes.size == scores.shape[0] == times.size):
             raise ValueError("times, points, outcomes and scores need one row per record")
+        if not np.isfinite(points).all():
+            raise ValueError("pooling_point must be finite")
+        if not (scores < np.inf).all():  # NaN fails the comparison too
+            raise ValueError("log_scores must be NaN-free and below +inf")
         out = cls(points.shape[1], scores.shape[1])
         out._add_block(times, points, outcomes, scores)
         return out
 
-    def _check_shape(self, n_dims: int, n_experts: int) -> None:
-        if n_dims != self._n_dims:
-            raise ValueError(f"pooling point has {n_dims} dims, history expects {self._n_dims}")
-        if n_experts != self._n_experts:
-            raise ValueError(
-                f"record scores {n_experts} experts, history expects {self._n_experts}"
-            )
-
     def _add_block(self, times, points, outcomes, scores) -> None:
-        """Validate rows of equal count and append them."""
-        self._check_shape(points.shape[1], scores.shape[1])
-        if not np.all(np.isfinite(points)):
-            raise ValueError("pooling_point must be finite")
-        if np.any(np.isnan(scores)) or np.any(scores == np.inf):
-            raise ValueError("log_scores must be NaN-free and below +inf")
-        ordered = np.concatenate([self._times[-1:], times])
-        late = np.nonzero(np.diff(ordered) <= 0)[0]
-        if late.size:
-            t, last = ordered[late[0] + 1], ordered[late[0]]
-            raise ValueError(f"time_index {t} not after last recorded {last}")
-        self._grow(times, points, outcomes, scores)
+        """Append rows of checked values and refresh the moments.
 
-    def _grow(self, times, points, outcomes, scores) -> None:
-        """Append checked rows and refresh the moments; every growth ends here."""
+        Every growth passes here, so this is where the rows' shape and
+        time order are checked against the history and each other.
+        """
+        if points.shape[1] != self._n_dims:
+            raise ValueError(
+                f"pooling point has {points.shape[1]} dims, history expects {self._n_dims}"
+            )
+        if scores.shape[1] != self._n_experts:
+            raise ValueError(
+                f"record scores {scores.shape[1]} experts, history expects {self._n_experts}"
+            )
+        ordered = np.concatenate([self._times[-1:], times])
+        late = ordered[1:] <= ordered[:-1]
+        if late.any():
+            i = int(late.argmax())
+            raise ValueError(f"time_index {ordered[i + 1]} not after last recorded {ordered[i]}")
         self._times = np.concatenate([self._times, times])
         self._points = np.concatenate([self._points, points])
         self._outcomes = np.concatenate([self._outcomes, outcomes])
@@ -224,11 +217,7 @@ class History:
 
         The boundary is inclusive: a record exactly ``width`` away counts.
         """
-        return self.calipers(point, (width,))[0]
-
-    def calipers(self, point, widths) -> list[np.ndarray]:
-        """``caliper_neighbors`` for every width, from one distance pass."""
-        return caliper_rows(self.distances(point), widths)
+        return caliper_rows(self.distances(point), (width,))[0]
 
 
 def caliper_rows(dist: np.ndarray, widths) -> list[np.ndarray]:

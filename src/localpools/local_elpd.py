@@ -3,10 +3,11 @@
 An expert's *local* skill at a pooling point z is its expected log
 predictive density conditional on being there.  The caliper estimator
 averages realised log scores over the historical records whose
-standardised distance to z is at most the caliper width; the quadrature
-routine computes the exact value for data-generating processes with a
-Gaussian conditional outcome, which is what the simulation studies score
-estimators against.
+standardised distance to z is at most the caliper width; ``pools.PoolQuery``
+cuts and averages the calipers of a whole width grid, and ``caliper_elpd``
+is its grid of one.  The quadrature routine computes the exact value for
+data-generating processes with a Gaussian conditional outcome, which is
+what the simulation studies score estimators against.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from .history import History
+from .pools import PoolQuery
 
 __all__ = [
     "LocalElpdEstimate",
     "caliper_elpd",
-    "caliper_grid",
     "quadrature_rule",
     "true_local_elpd",
 ]
@@ -65,43 +66,15 @@ def caliper_elpd(history: History, point, width: float) -> LocalElpdEstimate:
 
     Distances are standardised-Euclidean in pooling space and the caliper
     boundary is inclusive.  With no history inside the caliper the
-    estimate vector is all zeros by convention.  This is ``caliper_grid``
-    with a grid of one width.
+    estimate vector is all zeros by convention.  This is
+    ``PoolQuery.calipers`` with a grid of one width.
     """
-    neighbors, estimates = caliper_grid(history, point, (width,))
+    neighbors, estimates = PoolQuery(history, point, (width,)).calipers
     return LocalElpdEstimate(
         estimates=estimates[0],
         neighbor_count=neighbors[0].size,
         width=width,
     )
-
-
-def caliper_grid(history: History, point, widths) -> tuple[list[np.ndarray], np.ndarray]:
-    """Caliper rows and per-expert average log scores for every width.
-
-    One distance pass serves the whole grid.  Returns the row indices
-    inside each caliper and a (widths, K) array whose row ``j`` averages
-    the expert scores over ``widths[j]``'s rows (zeros when it holds
-    none).
-    """
-    neighbors = history.calipers(point, widths)
-    return neighbors, _caliper_means(history, neighbors)
-
-
-def _caliper_means(history: History, neighbors) -> np.ndarray:
-    """Per-expert average log scores over each caliper's rows, zeros on none.
-
-    Calipers around one point are nested, so two with the same neighbour
-    count hold the same rows and share one average.
-    """
-    estimates = np.zeros((len(neighbors), history.n_experts))
-    means: dict[int, np.ndarray] = {}
-    for row, idx in zip(estimates, neighbors):
-        if idx.size:
-            if idx.size not in means:
-                means[idx.size] = history.score_matrix[idx].mean(axis=0)
-            row[:] = means[idx.size]
-    return estimates
 
 
 @lru_cache(maxsize=8)

@@ -15,9 +15,11 @@ Three ways to turn expert track records into simplex weights:
   the returned weights are certified to within ``gap_tol`` nats of the
   global optimum.
 
-``PoolQuery`` builds them for every cell of a width x scaling grid at
-one point in one pass; the single-cell builders ``softmax_weights`` and
-``local_opt_weights`` are grids of one.
+``PoolQuery`` is the one place a pooling point becomes calipers, caliper
+means and cell weights: it builds them for every cell of a width x
+scaling grid at one point in one pass.  The single-cell builders
+``softmax_weights``, ``local_opt_weights`` and
+``local_elpd.caliper_elpd`` are grids of one.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .densities import PoolWeights, pooled_rows
 from .history import History, caliper_rows
-from .local_elpd import LocalElpdEstimate, _caliper_means
+
+if TYPE_CHECKING:
+    from .local_elpd import LocalElpdEstimate
 
 __all__ = [
     "NaturalScaling",
@@ -110,7 +115,8 @@ def softmax_grid(counts, estimates, scalings) -> np.ndarray:
     ``scalings[s]`` as ``softmax_weights`` describes: the factor times the
     estimates, less their maximum, exponentiated and divided by the
     row's exact sum.  A zero factor, or a maximum of ``-inf``, gives a row
-    of exactly ``1/K``.
+    of exactly ``1/K``; a maximum of ``+inf`` splits the row evenly among
+    the entries that reach it.
     """
     factors = np.array([float(rule.factor(count)) for count in counts for rule in scalings])
     bad = np.flatnonzero(~((factors >= 0.0) & np.isfinite(factors)))
@@ -119,14 +125,18 @@ def softmax_grid(counts, estimates, scalings) -> np.ndarray:
             f"scaling factor must be finite and nonnegative, got {float(factors[bad[0]])!r}"
         )
     scaled = np.repeat(np.asarray(estimates, dtype=float), len(scalings), axis=0)
-    with np.errstate(invalid="ignore"):  # 0 * -inf; such rows are flattened below
+    # 0 * -inf is NaN, and a large factor can take an estimate to +-inf.
+    with np.errstate(invalid="ignore", over="ignore"):
         scaled *= factors[:, None]
-    top = scaled.max(axis=1)
-    # Every tilt of a flattened row is exp(0) = 1, and 1 / K is exact.
-    flat = (factors == 0.0) | (top == -np.inf)
-    scaled[flat] = 0.0
-    top[flat] = 0.0
-    tilts = np.exp(scaled - top[:, None])
+        top = scaled.max(axis=1)
+        # Every tilt of a flattened row is exp(0) = 1, and 1 / K is exact.
+        flat = (factors == 0.0) | (top == -np.inf)
+        scaled[flat] = 0.0
+        top[flat] = 0.0
+        tilts = np.exp(scaled - top[:, None])
+    # So is the tilt of every entry at the maximum, even one at +inf,
+    # where the shift gives inf - inf = NaN.
+    tilts[scaled == top[:, None]] = 1.0
     totals = np.array([math.fsum(row) for row in tilts.tolist()])
     return tilts / totals[:, None]
 
@@ -439,13 +449,18 @@ class PoolQuery:
         return self.history.distances(self.point)
 
     def caliper_grid(self, widths) -> tuple[list[np.ndarray], np.ndarray]:
-        """``caliper_grid`` of the point over ``widths``, from ``distances``."""
+        """Caliper rows and per-expert average log scores for every width.
+
+        Returns the row indices inside each caliper, cut from ``distances``,
+        and a (widths, K) array whose row ``j`` averages the expert scores
+        over ``widths[j]``'s rows (zeros when it holds none).
+        """
         neighbors = caliper_rows(self.distances, widths)
         return neighbors, _caliper_means(self.history, neighbors)
 
     @cached_property
     def calipers(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """``caliper_grid`` of the point over the query's widths."""
+        """``caliper_grid`` over the query's widths."""
         return self.caliper_grid(self.widths)
 
     def equal(self) -> np.ndarray:
@@ -478,3 +493,19 @@ class PoolQuery:
                 weights = optimize_pool_weights(self.history.score_matrix[live]).values
             fits[rows.size] = weights
         return fits[rows.size]
+
+
+def _caliper_means(history: History, neighbors) -> np.ndarray:
+    """Per-expert average log scores over each caliper's rows, zeros on none.
+
+    Calipers around one point are nested, so two with the same neighbour
+    count hold the same rows and share one average.
+    """
+    estimates = np.zeros((len(neighbors), history.n_experts))
+    means: dict[int, np.ndarray] = {}
+    for row, idx in zip(estimates, neighbors):
+        if idx.size:
+            if idx.size not in means:
+                means[idx.size] = history.score_matrix[idx].mean(axis=0)
+            row[:] = means[idx.size]
+    return estimates

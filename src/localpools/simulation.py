@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import check_simplex_rows, pooled_rows
 from .evaluation import (
     SCHEME_EQUAL,
     SCHEME_GLOBAL_OPT,
     SCHEME_LOCAL_SOFTMAX,
     SCHEMES,
     EvaluationStream,
+    _pool_cells,
 )
 from .experts import (
     NigPosterior,
@@ -44,8 +44,8 @@ from .experts import (
     nig_update,
 )
 from .history import History, check_widths
-from .local_elpd import LocalElpdEstimate, quadrature_rule
-from .pools import NATURAL, PoolQuery, softmax_weights
+from .local_elpd import quadrature_rule
+from .pools import NATURAL, PoolQuery, softmax_grid
 
 __all__ = [
     "DgpConfig",
@@ -415,12 +415,8 @@ def replication_studies(
             # Polarizing-behaviour diagnostic: natural-scaling softmax with
             # the caliper covering every record, so the factor is the full
             # history length.
-            all_data = LocalElpdEstimate(
-                estimates=history.score_matrix.mean(axis=0),
-                neighbor_count=len(history),
-                width=math.inf,
-            )
-            polarization[r] = float(np.max(softmax_weights(all_data, NATURAL).values))
+            all_data = history.score_matrix.mean(axis=0)[None, :]
+            polarization[r] = float(softmax_grid([len(history)], all_data, (NATURAL,)).max())
 
         for m, (z, (outcomes, quad_weights)) in enumerate(zip(z_points, rules)):
             table = np.stack(
@@ -443,8 +439,7 @@ def replication_studies(
                         for s in schemes
                     ]
                 )
-                check_simplex_rows(cells)
-                pooled = pooled_rows(cells[:, None, :], table.T)
+                pooled = _pool_cells(cells[:, None, :], table.T)
                 expected = [float(quad_weights @ row) for row in pooled]
                 scores[r, m] = np.reshape(expected, scores.shape[2:])
 

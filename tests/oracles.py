@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own algorithms:
 brute-force simplex grids instead of EM, adaptive quadrature instead of
 Gauss-Hermite, posterior sampling and marginal-likelihood ratios instead
-of the closed-form predictive, and a pencil-and-paper law of the score
-gap instead of running the softmax.  Slow and dumb on purpose.
+of the closed-form predictive, a pencil-and-paper law of the score gap
+instead of running the softmax, and the caliper method one record and
+one cell at a time instead of ``History`` and ``PoolQuery``.  Slow and
+dumb on purpose.
 """
 
 from __future__ import annotations
@@ -202,3 +204,67 @@ def sample_nig_predictive(
         + np.sqrt(sigma2)[:, None] * (rng.standard_normal((size, p)) @ chol.T)
     )
     return beta @ x + np.sqrt(sigma2) * rng.standard_normal(size)
+
+
+# -- the caliper method, one cell at a time ---------------------------------
+#
+# Straight from the definitions, sharing no code with ``History`` or
+# ``pools``.  The property that uses these asks for the package's bits, so
+# each step is the same IEEE arithmetic in the same order: neighbour sets
+# and 1/K fallbacks must match exactly, and then the weights do too.
+
+
+def standardizing_moments(points) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension mean and population std of the records, constant rule applied.
+
+    A dimension whose std is below 1e-12 of its largest magnitude
+    (floored at 1) is constant, carries no distance information, and is
+    given a std of 1.
+    """
+    points = np.asarray(points, dtype=float)
+    mean = np.mean(points, axis=0)
+    std = np.std(points, axis=0)
+    magnitude = np.maximum(1.0, np.abs(points).max(axis=0))
+    return mean, np.where(std < 1e-12 * magnitude, 1.0, std)
+
+
+def standardized_distance(record, point, mean, std) -> float:
+    """Euclidean distance between one record and the point, both standardised."""
+    gap = (np.asarray(record) - mean) / std - (np.asarray(point) - mean) / std
+    return float(np.sqrt(np.sum(gap * gap)))
+
+
+def caliper(distances, width: float) -> list[int]:
+    """The records at most ``width`` away; a record exactly on it counts."""
+    return [i for i, distance in enumerate(distances) if distance <= width]
+
+
+def caliper_mean(scores, rows) -> np.ndarray:
+    """Each expert's log scores summed over ``rows``, record by record, over their count.
+
+    Zeros when ``rows`` is empty.  With two or more experts NumPy sums a
+    block's columns record by record from zero too, so the bits agree; a
+    lone expert's column is summed pairwise and may differ in the last
+    bits, but a lone expert's weight is 1 whatever its mean.
+    """
+    scores = np.asarray(scores, dtype=float)
+    total = np.zeros(scores.shape[1])
+    for i in rows:
+        total = total + scores[i]
+    return total / len(rows) if len(rows) else total
+
+
+def softmax_cell(estimates, factor: float) -> np.ndarray:
+    """Weights proportional to ``exp(factor * estimate)``, divided by their exact sum.
+
+    A zero factor, or no finite scaled estimate, gives exactly ``1/K``.
+    Each tilt is taken relative to the largest scaled estimate, and one
+    at that maximum is exp(0) = 1 even when the maximum is ``+inf``.
+    """
+    k = len(estimates)
+    scaled = [factor * float(e) for e in estimates] if factor != 0.0 else [0.0] * k
+    top = max(scaled)
+    if top == -math.inf:
+        return np.full(k, 1.0 / k)
+    tilts = np.array([1.0 if x == top else float(np.exp(x - top)) for x in scaled])
+    return tilts / math.fsum(tilts.tolist())

@@ -140,6 +140,34 @@ def test_gridsearch_leaves_dead_rows_out_of_the_totals(tmp_path, capsys):
         assert f"{family}: best cell by shadow total is {best}" in stdout
 
 
+def test_scores_that_overflow_the_softmax_run_to_the_end(tmp_path):
+    """Log scores of -1e308 and 1e308, which the loader accepts, take a
+    factor times a caliper mean to -inf and +inf; every command still
+    exits 0 with weights on the simplex."""
+    rng = np.random.default_rng(0)
+    T = 60
+    scores = rng.normal(-1.5, 1.0, size=(T, 2))
+    scores[:, 0] = -1e308
+    scores[::7, 1] = 1e308
+    stream = EvaluationStream(rng.normal(size=(T, 2)), rng.normal(size=T), scores, ("alpha", "beta"))
+    path = write_score_csv(tmp_path / "scores.csv", stream)
+    flags = ["--scores", str(path), "--warmup", "5", "--history", "10"]
+    assert main(["evaluate", *flags, "--out", str(tmp_path / "ev")]) == 0
+    assert main(["gridsearch", *flags, "--out", str(tmp_path / "gs")]) == 0
+    once = tmp_path / "once.json"
+    assert main(["pool-once", "--scores", str(path), "--point", "0,0", "--out", str(once)]) == 0
+    with open(tmp_path / "ev" / "steps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == T - 15
+    weights = json.loads(once.read_text())["weights"]
+    assert weights["local_softmax"] == {"alpha": 0.0, "beta": 1.0}
+    for scheme in weights:
+        cells = [[float(row[f"w_{scheme}_{name}"]) for name in ("alpha", "beta")] for row in rows]
+        cells.append(list(weights[scheme].values()))
+        for cell in cells:
+            assert all(0.0 <= w <= 1.0 for w in cell) and abs(math.fsum(cell) - 1.0) <= 1e-12
+
+
 def test_pool_once_to_file(tmp_path):
     scores = _score_csv(tmp_path)
     out = tmp_path / "pool.json"

@@ -14,10 +14,15 @@ from localpools.densities import (
     PoolWeights,
     StudentT,
     check_simplex_rows,
-    pooled_log_density,
 )
+from localpools.pools import pooled_log_scores
 
 STANDARD_NORMAL_AT_ZERO = -0.9189385332046727  # -log(sqrt(2*pi))
+
+
+def _pooled(weights: PoolWeights, lp) -> float:
+    """Pooled log density at one outcome: ``pooled_log_scores`` on a one-row matrix."""
+    return float(pooled_log_scores(weights, np.asarray(lp, dtype=float)[None, :])[0])
 
 
 class TestPoolWeights:
@@ -154,38 +159,38 @@ class TestPooledLogDensity:
     def test_half_half_with_dead_expert(self):
         # exp(-700) underflows against exp(0); the pool is log(0.5) exactly.
         w = PoolWeights(np.array([0.5, 0.5]))
-        got = pooled_log_density(w, np.array([0.0, -700.0]))
+        got = _pooled(w, np.array([0.0, -700.0]))
         assert got == math.log(0.5)
 
     def test_all_equal_scores_come_back_exactly(self):
         w = PoolWeights(np.array([0.2, 0.3, 0.5]))
         for c in (-1234.5, -1.0, 0.0, 700.0):
-            assert pooled_log_density(w, np.array([c, c, c])) == c
+            assert _pooled(w, np.array([c, c, c])) == c
 
     def test_degenerate_single_expert(self):
         w = PoolWeights(np.array([1.0]))
-        assert pooled_log_density(w, np.array([-3.25])) == -3.25
+        assert _pooled(w, np.array([-3.25])) == -3.25
 
     def test_all_minus_inf(self):
         w = PoolWeights(np.array([0.5, 0.5]))
-        assert pooled_log_density(w, np.array([-np.inf, -np.inf])) == -np.inf
+        assert _pooled(w, np.array([-np.inf, -np.inf])) == -np.inf
 
     def test_rejects_nan_and_plus_inf(self):
         w = PoolWeights(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            pooled_log_density(w, np.array([0.0, np.nan]))
+            _pooled(w, np.array([0.0, np.nan]))
         with pytest.raises(ValueError):
-            pooled_log_density(w, np.array([0.0, np.inf]))
+            _pooled(w, np.array([0.0, np.inf]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            pooled_log_density(PoolWeights(np.array([1.0])), np.array([0.0, 1.0]))
+            _pooled(PoolWeights(np.array([1.0])), np.array([0.0, 1.0]))
 
     def test_matches_direct_formula_moderate_values(self):
         w = PoolWeights(np.array([0.1, 0.6, 0.3]))
         lp = np.array([-1.0, -2.0, -0.5])
         direct = math.log(float(np.sum(w.values * np.exp(lp))))
-        assert abs(pooled_log_density(w, lp) - direct) < 1e-14
+        assert abs(_pooled(w, lp) - direct) < 1e-14
 
     def test_mixture_consistency(self):
         # Mixture.log_density(y) must agree with pooling the component
@@ -195,7 +200,7 @@ class TestPooledLogDensity:
         mix = Mixture(weights=w, components=comps)
         for y in (-3.0, 0.0, 0.5, 8.0):
             lp = np.array([c.log_density(y) for c in comps])
-            assert abs(mix.log_density(y) - pooled_log_density(w, lp)) <= 1e-12
+            assert abs(mix.log_density(y) - _pooled(w, lp)) <= 1e-12
 
 
 @st.composite
@@ -223,7 +228,7 @@ def weights_and_scores(draw, max_experts=5):
 @settings(max_examples=200, deadline=None)
 def test_pooled_between_worst_and_best(case):
     w, lp = case
-    pooled = pooled_log_density(w, lp)
+    pooled = _pooled(w, lp)
     assert pooled <= lp.max() + 1e-12
     assert pooled >= lp.min() - 1e-12
     # it also dominates every guaranteed lower bound w_k e^{lp_k}
@@ -237,8 +242,8 @@ def test_pooled_between_worst_and_best(case):
 @settings(max_examples=200, deadline=None)
 def test_pooled_shift_equivariance(case, shift):
     w, lp = case
-    base = pooled_log_density(w, lp)
-    shifted = pooled_log_density(w, lp + shift)
+    base = _pooled(w, lp)
+    shifted = _pooled(w, lp + shift)
     assert abs(shifted - (base + shift)) <= 1e-9 * max(1.0, abs(base + shift))
 
 
@@ -248,8 +253,8 @@ def test_pooled_permutation_invariance(case, rnd):
     w, lp = case
     perm = list(range(len(lp)))
     rnd.shuffle(perm)
-    base = pooled_log_density(w, lp)
-    permuted = pooled_log_density(
+    base = _pooled(w, lp)
+    permuted = _pooled(
         PoolWeights(w.values[perm]), lp[np.asarray(perm)]
     )
     assert abs(base - permuted) <= 1e-12 * max(1.0, abs(base))

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from localpools.densities import pooled_log_density
 from localpools.evaluation import (
     ALL_SCHEMES,
     SCHEME_EQUAL,
@@ -25,6 +24,7 @@ from localpools.pools import (
     equal_weights,
     local_opt_weights,
     optimize_pool_weights,
+    pooled_log_scores,
     softmax_weights,
 )
 from localpools.simulation import DgpConfig, generate_dgp, nig_evaluation_stream
@@ -264,7 +264,7 @@ class TestRollingEvaluate:
         res = rolling_evaluate(stream, SMALL_CONFIG)
         k = stream.n_experts
         direct = sum(
-            pooled_log_density(equal_weights(k), stream.log_scores[t])
+            pooled_log_scores(equal_weights(k), stream.log_scores[t : t + 1])[0]
             for t in range(20, 60)
         )
         assert res.totals()[SCHEME_EQUAL] == pytest.approx(direct, abs=1e-12)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localpools.densities import Gaussian, Mixture, PoolWeights, pooled_log_density
-from localpools.history import History
+from localpools.densities import Gaussian, Mixture, PoolWeights
+from localpools.history import History, caliper_rows
 from localpools import pools
 from localpools.local_elpd import LocalElpdEstimate
 from localpools.pools import (
@@ -94,6 +94,21 @@ class TestSoftmaxWeights:
         np.testing.assert_array_equal(
             softmax_weights(est, FixedScaling(1.0)).values, [0.5, 0.5]
         )
+
+    def test_scaled_estimates_that_overflow_stay_on_the_simplex(self):
+        """Estimates of +-1e308 times a factor overflow to +-inf: the experts
+        at a maximum of +inf share the weight, and no NaN or warning arises."""
+        cases = [
+            ([-1e308, 1e308], NATURAL, [0.0, 1.0]),
+            ([1e308, 1e308, -3.0], NATURAL, [0.5, 0.5, 0.0]),
+            ([1e308, -1e308], FixedScaling(2.0), [1.0, 0.0]),
+            ([-1e308, 1e308], FixedScaling(0.0), [0.5, 0.5]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for estimates, scaling, expected in cases:
+                w = softmax_weights(_estimate(estimates, n=7), scaling)
+                np.testing.assert_array_equal(w.values, expected)
 
 
 @given(
@@ -307,7 +322,7 @@ class TestLocalOptWeights:
         share one fit, and every row equals its grid-of-one rebuild."""
         h = self._history()
         point, widths = (-1.55,), (1e-9, 0.5, 0.5 + 1e-9, 1.0, 4.0, np.inf)
-        counts = [idx.size for idx in h.calipers(point, widths)]
+        counts = [idx.size for idx in caliper_rows(h.distances(point), widths)]
         assert counts[0] == 0 and counts[1] == counts[2] and counts[-1] == len(h)
         fitted = []
 
@@ -334,7 +349,7 @@ class TestLocalOptWeights:
         h = self._history()
         widths = (0.5, np.inf)
         left_point, right_point = (-1.55,), (2.45,)
-        counts = [h.calipers(p, widths[:1])[0].size for p in (left_point, right_point)]
+        counts = [h.caliper_neighbors(p, widths[0]).size for p in (left_point, right_point)]
         assert counts[0] == counts[1] > 0
         shared = PoolQuery(h)
         left = shared.at(left_point, widths).local_opt()
@@ -358,13 +373,13 @@ class TestLocalOptWeights:
 
 
 class TestPooledLogScores:
-    def test_rows_match_pooled_log_density(self):
+    def test_rows_match_one_row_matrices(self):
         rng = np.random.default_rng(2)
         scores = rng.normal(-2.0, 1.0, size=(12, 3))
         w = PoolWeights(np.array([0.2, 0.5, 0.3]))
         rows = pooled_log_scores(w, scores)
         for i in range(12):
-            assert rows[i] == pooled_log_density(w, scores[i])
+            assert rows[i] == pooled_log_scores(w, scores[i : i + 1])[0]
 
     def test_shape_validation(self):
         w = PoolWeights(np.array([0.5, 0.5]))
@@ -382,7 +397,7 @@ class TestAssemblePool:
         for y in (-2.0, 0.0, 3.0):
             lp = np.array([c.log_density(y) for c in comps])
             assert mix.log_density(y) == pytest.approx(
-                pooled_log_density(w, lp), abs=1e-12
+                pooled_log_scores(w, lp[None, :])[0], abs=1e-12
             )
 
     def test_degenerate_weight_reduces_to_component(self):

@@ -1,12 +1,15 @@
 """Shadow cells of ``rolling_evaluate``, rebuilt one cell at a time.
 
-The harness scores every grid cell of every step together.  These tests
-rebuild each cell alone from the public builders (``caliper_elpd``,
-``softmax_weights``, ``optimize_pool_weights`` on the caliper's rows of
-the score matrix, and ``pooled_log_scores``) on the history before its
-step, and ask for the same bits.  None of them goes through ``PoolQuery``,
-so the harness's block gathering, live-row filter and per-block fit cache
-are checked against one optimizer call on each caliper's whole block.
+The harness scores every grid cell of every step together, through one
+``PoolQuery``.  These tests rebuild each cell alone on the records before
+its step with the one-cell oracles of ``tests/oracles.py``: the prefix
+moments, a distance per record, an inclusive cut, an explicit caliper
+mean and a direct softmax, none of which calls ``History.distances``,
+``caliper_rows``, the caliper means, ``softmax_grid`` or ``PoolQuery``.
+The optimal pools are one ``optimize_pool_weights`` call on the oracle's
+block of each caliper, so the harness's block gathering, live-row filter
+and per-block fit cache are checked too.  Every caliper of ``PoolQuery``
+must hold the oracle's rows, and every cell must match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ from localpools.evaluation import (
     rolling_evaluate,
 )
 from localpools.history import History
-from localpools.local_elpd import caliper_elpd
-from localpools.pools import (
-    NATURAL,
-    FixedScaling,
-    equal_weights,
-    optimize_pool_weights,
-    pooled_log_scores,
-    softmax_weights,
+from localpools.pools import NATURAL, FixedScaling, PoolQuery, optimize_pool_weights, pooled_log_scores
+from oracles import (
+    caliper,
+    caliper_mean,
+    softmax_cell,
+    standardized_distance,
+    standardizing_moments,
 )
 
 
@@ -67,29 +69,42 @@ def _history_before(stream: EvaluationStream, start: int, t: int) -> History:
     )
 
 
-def _reference_cells(history: History, point, config: EvaluationConfig) -> dict:
-    """Per scheme: one (weights, is-a-1/K-fallback) pair per grid cell, in ledger order."""
-    k = history.n_experts
-    cells = {}
+def _distances_before(stream: EvaluationStream, start: int, t: int) -> list[float]:
+    """Oracle distance from step ``t``'s point to each record the harness holds then."""
+    points = stream.pooling_points[start:t]
+    if len(points) == 0:
+        return []
+    mean, std = standardizing_moments(points)
+    z = stream.pooling_points[t]
+    return [standardized_distance(p, z, mean, std) for p in points]
+
+
+def _reference_cells(stream: EvaluationStream, start: int, t: int, config: EvaluationConfig):
+    """The rows of each width's caliper at step ``t``, and per scheme one
+    (weights, is-a-1/K-fallback) pair per grid cell, in ledger order."""
+    k = stream.n_experts
+    equal = np.full(k, 1.0 / k)
+    scores = stream.log_scores[start:t]
+    distances = _distances_before(stream, start, t)
+    calipers = [caliper(distances, width) for width in config.width_grid]
     softmax = []
     local_opt = []
-    for width in config.width_grid:
-        estimate = caliper_elpd(history, point, width)
+    for rows in calipers:
+        estimates = caliper_mean(scores, rows)
         for scaling in config.scaling_grid:
-            fallback = estimate.neighbor_count == 0 or scaling.factor(estimate.neighbor_count) == 0.0
-            softmax.append((softmax_weights(estimate, scaling), fallback))
+            factor = float(scaling.factor(len(rows)))
+            softmax.append((softmax_cell(estimates, factor), not rows or factor == 0.0))
         # An empty caliper, or one of dead rows only, is exactly 1/K.
-        block = history.score_matrix[history.caliper_neighbors(point, width)]
-        fit = optimize_pool_weights(block) if len(block) else equal_weights(k)
+        block = scores[rows]
+        fit = optimize_pool_weights(block).values if rows else equal
         local_opt.append((fit, not np.any(block > -np.inf)))
-    cells[SCHEME_LOCAL_SOFTMAX] = softmax
-    cells[SCHEME_LOCAL_OPT] = local_opt
-    cells[SCHEME_EQUAL] = [(equal_weights(k), True)]
-    if len(history) == 0:
-        cells[SCHEME_GLOBAL_OPT] = [(equal_weights(k), True)]
-    else:
-        cells[SCHEME_GLOBAL_OPT] = [(optimize_pool_weights(history.score_matrix), False)]
-    return cells
+    whole = optimize_pool_weights(scores).values if len(scores) else equal
+    return calipers, {
+        SCHEME_LOCAL_SOFTMAX: softmax,
+        SCHEME_LOCAL_OPT: local_opt,
+        SCHEME_EQUAL: [(equal, True)],
+        SCHEME_GLOBAL_OPT: [(whole, len(scores) == 0)],
+    }
 
 
 def _chosen_cell(res, scheme: str, r: int, config: EvaluationConfig) -> int:
@@ -103,24 +118,25 @@ def _chosen_cell(res, scheme: str, r: int, config: EvaluationConfig) -> int:
 
 
 def check_against_per_cell_reference(stream: EvaluationStream, config: EvaluationConfig) -> None:
-    """Every ledger entry and reported weight equals its one-cell rebuild, bitwise."""
+    """Every caliper holds the oracle's rows, and every ledger entry and
+    reported weight equals its one-cell rebuild, bitwise."""
     res = rolling_evaluate(stream, config)
     start = config.warmup_size
     report_from = start + config.history_size
     k = stream.n_experts
     for i, t in enumerate(range(start, stream.n_steps)):
-        history = _history_before(stream, start, t)
-        point = stream.pooling_points[t]
         row = stream.log_scores[t][None, :]
-        cells = _reference_cells(history, point, config)
+        calipers, cells = _reference_cells(stream, start, t, config)
+        query = PoolQuery(_history_before(stream, start, t), stream.pooling_points[t], config.width_grid)
+        assert [idx.tolist() for idx in query.calipers[0]] == calipers, (t, calipers)
         for scheme, reference in cells.items():
             for weights, fallback in reference:
-                assert _on_simplex(weights.values), (scheme, t, weights.values)
+                assert _on_simplex(weights), (scheme, t, weights)
                 if fallback:
-                    assert np.all(weights.values == 1.0 / k), (scheme, t, weights.values)
+                    assert np.all(weights == 1.0 / k), (scheme, t, weights)
             if scheme in res.candidate_log_scores:
                 ledger = res.candidate_log_scores[scheme][i]
-                expected = [pooled_log_scores(w, row)[0] for w, _ in reference]
+                expected = [pooled_log_scores(PoolWeights(w), row)[0] for w, _ in reference]
                 assert _same_bits(ledger, expected), (scheme, t, ledger, expected)
         if t < report_from:
             continue
@@ -131,8 +147,8 @@ def check_against_per_cell_reference(stream: EvaluationStream, config: Evaluatio
             weights = cells[scheme][pick][0]
             reported = res.weights[scheme][r]
             assert _on_simplex(reported)
-            assert _same_bits(reported, weights.values), (scheme, t, reported, weights.values)
-            assert _same_bits(res.pooled_log_scores[scheme][r], pooled_log_scores(weights, row)[0])
+            assert _same_bits(reported, weights), (scheme, t, reported, weights)
+            assert _same_bits(res.pooled_log_scores[scheme][r], pooled_log_scores(PoolWeights(weights), row)[0])
 
 
 def check_no_lookahead(stream: EvaluationStream, config: EvaluationConfig, cut: int, seed: int) -> None:
@@ -168,7 +184,8 @@ SCALINGS = (FixedScaling(0.0), FixedScaling(0.5), FixedScaling(3.0), NATURAL)
 def streams(draw):
     """A stream of T <= 60 steps with repeated points, -inf scores, whole
     -inf rows and sometimes a constant pooling dimension, a config over
-    every scheme, and a step to perturb from."""
+    every scheme with a record on a caliper boundary, and a step to
+    perturb from."""
     n, d, k = draw(st.integers(2, 60)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     coord = st.floats(min_value=-20, max_value=20)
     distinct = draw(st.integers(1, n))
@@ -183,10 +200,19 @@ def streams(draw):
     outcomes = np.arange(n, dtype=float)
     stream = EvaluationStream(points, outcomes, scores, tuple(f"m{j}" for j in range(k)))
     warmup = draw(st.integers(0, n - 2))
+    widths = draw(st.sets(st.sampled_from(WIDTHS), min_size=1, max_size=4))
+    # A width that some record's distance equals exactly puts that record
+    # on the inclusive boundary of the caliper.
+    t = draw(st.integers(warmup, n - 1))
+    distances = _distances_before(stream, warmup, t)
+    if distances:
+        exact = distances[draw(st.integers(0, len(distances) - 1))]
+        if exact > 0.0:
+            widths.add(exact)
     config = EvaluationConfig(
         warmup_size=warmup,
         history_size=draw(st.integers(0, n - 1 - warmup)),
-        width_grid=tuple(sorted(draw(st.sets(st.sampled_from(WIDTHS), min_size=1, max_size=4)))),
+        width_grid=tuple(sorted(widths)),
         scaling_grid=tuple(draw(st.lists(st.sampled_from(SCALINGS), min_size=1, max_size=3, unique=True))),
         schemes=tuple(draw(st.permutations(ALL_SCHEMES))),
     )

@@ -8,6 +8,7 @@ import pytest
 from localpools import pools
 from localpools.densities import Mixture
 from localpools.experts import design_vector, nig_predictive, nig_update
+from localpools.history import caliper_rows
 from localpools.local_elpd import LocalElpdEstimate, true_local_elpd
 from localpools.pools import NATURAL, local_opt_weights, softmax_weights
 from localpools.simulation import (
@@ -253,7 +254,7 @@ class TestPoolStudy:
             _, history = _fit_and_score_split(data, default_experts(), 100)
             expected.append(len(history))
             for z in points:
-                counts = {idx.size for idx in history.calipers(z, widths)}
+                counts = {idx.size for idx in caliper_rows(history.distances(z), widths)}
                 expected.extend(sorted(counts - {0, len(history)}))
         assert fitted.count(100) == 100
         assert sorted(fitted) == sorted(expected)
