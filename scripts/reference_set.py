@@ -15,9 +15,12 @@ bytes); ``evaluate --simulate`` with its dumped stream; two ``evaluate``
 runs and one ``gridsearch`` on the CSV; two ``pool-once`` calls;
 ``simulate --study both``; ``dead.csv``, the same CSV with every expert
 scoring ``-inf`` on a few rows and one expert on every row, and one
-``evaluate`` and one ``gridsearch`` run on it; the standard output of each
-of these commands as ``<name>.log``; and ``help.txt``, the ``--help`` text
-of the top level and of every subcommand.
+``evaluate`` and one ``gridsearch`` run on it; ``overflow.csv``, a 60-step
+CSV whose log scores reach ``-1e308`` and ``1e308`` (the one of
+``tests/test_cli.py::test_scores_that_overflow_the_softmax_run_to_the_end``),
+and one ``evaluate``, one ``gridsearch`` and one ``pool-once`` run on it;
+the standard output of each of these commands as ``<name>.log``; and
+``help.txt``, the ``--help`` text of the top level and of every subcommand.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import inputs  # noqa: E402
+import numpy as np  # noqa: E402
 
 CSV_FLAGS = ["--scores", "scores.csv", "--warmup", "100", "--history", "100"]
 DEAD_FLAGS = ["--scores", "dead.csv", "--warmup", "100", "--history", "100"]
@@ -40,6 +44,7 @@ DEAD_FLAGS = ["--scores", "dead.csv", "--warmup", "100", "--history", "100"]
 DEAD_ROWS = (150, 420, 421, 650)
 # The expert (by column order) that scores -inf on every row of dead.csv.
 DEAD_EXPERT = 1
+OVERFLOW_FLAGS = ["--scores", "overflow.csv", "--warmup", "5", "--history", "10"]
 CALLS = {
     "ev_sim": [
         "evaluate", "--simulate", "--sample-size", "750", "--warmup", "50", "--history", "50",
@@ -59,6 +64,11 @@ CALLS = {
     ],
     "ev_dead": ["evaluate", *DEAD_FLAGS, "--out", "ev_dead"],
     "gs_dead": ["gridsearch", *DEAD_FLAGS, "--out", "gs_dead"],
+    "ev_overflow": ["evaluate", *OVERFLOW_FLAGS, "--out", "ev_overflow"],
+    "gs_overflow": ["gridsearch", *OVERFLOW_FLAGS, "--out", "gs_overflow"],
+    "once_overflow": [
+        "pool-once", "--scores", "overflow.csv", "--point", "0,0", "--out", "once_overflow.json",
+    ],
 }
 HELP = [[], ["simulate"], ["evaluate"], ["gridsearch"], ["pool-once"]]
 MAIN = "import sys; from localpools.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -86,10 +96,25 @@ def write_dead_rows_csv(source: Path, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_overflow_csv(path: Path) -> None:
+    """60 steps in 2 dims; ``alpha`` scores ``-1e308`` on every row, ``beta`` ``1e308`` on every 7th."""
+    rng = np.random.default_rng(0)
+    scores = rng.normal(-1.5, 1.0, size=(60, 2))
+    scores[:, 0] = -1e308
+    scores[::7, 1] = 1e308
+    points, outcomes = rng.normal(size=(60, 2)), rng.normal(size=60)
+    lines = ["t,y,z_1,z_2,lp_alpha,lp_beta"]
+    for t in range(60):
+        reals = (outcomes[t], *points[t], *scores[t])
+        lines.append(",".join([str(t), *(f"{float(v):.17g}" for v in reals)]))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_reference_set(src: Path, out: Path) -> None:
     out.mkdir(parents=True)
     inputs.write_score_csv(out / "scores.csv", 1, 800)
     write_dead_rows_csv(out / "scores.csv", out / "dead.csv")
+    write_overflow_csv(out / "overflow.csv")
     for name, argv in CALLS.items():
         (out / f"{name}.log").write_bytes(run_cli(argv, out, src))
     help_text = b"".join(run_cli([*cmd, "--help"], out, src) for cmd in HELP)

@@ -75,10 +75,8 @@ def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
-    schemes = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if not schemes:
-        raise ValueError("scheme list is empty")
-    return schemes
+    """Comma-separated scheme names; ``check_schemes`` applies the scheme-list rule."""
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 class _Settings:

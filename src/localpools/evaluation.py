@@ -28,6 +28,10 @@ All cells of a step come from one pass: one ``PoolQuery`` shares the
 caliper distances and the optimizer fits among the schemes, every cell
 is checked on the simplex at once, and one log-sum-exp pools them all
 against the step's expert scores.
+
+Inputs are checked once, where they enter: a stream's records by
+``history.check_records``, a config's widths by ``history.check_widths``
+and its scheme list by ``check_schemes``, which the studies share.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import check_simplex_rows, pooled_rows
-from .history import History, PredictionRecord
+from .history import History, PredictionRecord, check_records, check_widths
 from .pools import NATURAL, FixedScaling, PoolQuery
 
 __all__ = [
@@ -54,6 +58,7 @@ __all__ = [
     "DEFAULT_SCALING_GRID",
     "EvaluationConfig",
     "EvaluationStream",
+    "check_schemes",
     "EvaluationResult",
     "rolling_evaluate",
     "select_hyperparameters",
@@ -122,23 +127,14 @@ class EvaluationConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if self.warmup_size < 0 or self.history_size < 0:
             raise ValueError("batch sizes cannot be negative")
-        schemes = tuple(str(s) for s in self.schemes)
-        if not schemes:
-            raise ValueError("at least one scheme is required")
-        unknown = [s for s in schemes if s not in ALL_SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown schemes {unknown}; valid: {list(ALL_SCHEMES)}")
-        if len(set(schemes)) != len(schemes):
-            raise ValueError("schemes must be unique")
-        object.__setattr__(self, "schemes", schemes)
+        object.__setattr__(self, "schemes", check_schemes(self.schemes))
         widths = tuple(float(w) for w in self.width_grid)
         scalings = tuple(self.scaling_grid)
-        axes = {axis for scheme in schemes for axis in SCHEMES[scheme].axes}
+        axes = {axis for scheme in self.schemes for axis in SCHEMES[scheme].axes}
         if "width" in axes:
             if not widths:
                 raise ValueError("local schemes need a nonempty caliper width grid")
-            if any(not w > 0.0 for w in widths):
-                raise ValueError("caliper widths must be positive")
+            check_widths(widths)
         if "scaling" in axes:
             if not scalings:
                 raise ValueError("the softmax scheme needs a nonempty scaling grid")
@@ -147,6 +143,19 @@ class EvaluationConfig:
                     raise ValueError(f"{rule!r} is not a scaling rule")
         object.__setattr__(self, "width_grid", widths)
         object.__setattr__(self, "scaling_grid", scalings)
+
+
+def check_schemes(schemes) -> tuple[str, ...]:
+    """The scheme names as a tuple; raise ``ValueError`` unless nonempty, known and unique."""
+    schemes = tuple(map(str, schemes))
+    if not schemes:
+        raise ValueError("at least one scheme is required")
+    unknown = [s for s in schemes if s not in SCHEMES]
+    if unknown:
+        raise ValueError(f"unknown schemes {unknown}; valid: {list(ALL_SCHEMES)}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError("schemes must be unique")
+    return schemes
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,21 +174,13 @@ class EvaluationStream:
     time_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        z = np.array(self.pooling_points, dtype=float)
+        z = np.asarray(self.pooling_points, dtype=float)
         if z.ndim == 1:
             z = z[:, None]
-        y = np.array(self.outcomes, dtype=float).reshape(-1)
-        scores = np.array(self.log_scores, dtype=float)
-        if z.ndim != 2 or scores.ndim != 2:
-            raise ValueError("pooling_points and log_scores must be 2-D")
-        n = z.shape[0]
-        if y.size != n or scores.shape[0] != n:
-            raise ValueError(
-                f"stream lengths disagree: {n} points, {y.size} outcomes, "
-                f"{scores.shape[0]} score rows"
-            )
-        if n == 0:
-            raise ValueError("stream is empty")
+        times = self.time_indices
+        if times is None:
+            times = np.arange(z.shape[0] if z.ndim else 0)
+        times, z, y, scores = check_records(times, z, self.outcomes, self.log_scores)
         names = tuple(str(s) for s in self.expert_names)
         if len(names) != scores.shape[1]:
             raise ValueError(
@@ -187,22 +188,6 @@ class EvaluationStream:
             )
         if len(set(names)) != len(names):
             raise ValueError("expert names must be unique")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("pooling points must be finite")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("outcomes must be finite")
-        if np.any(np.isnan(scores)) or np.any(scores == np.inf):
-            raise ValueError("log scores must be NaN-free and below +inf")
-        if self.time_indices is None:
-            times = np.arange(n)
-        else:
-            times = np.array(self.time_indices, dtype=int).reshape(-1)
-            if times.size != n:
-                raise ValueError("time_indices length mismatch")
-            if np.any(np.diff(times) <= 0):
-                raise ValueError("time_indices must be strictly increasing")
-        for arr in (z, y, scores, times):
-            arr.flags.writeable = False
         object.__setattr__(self, "pooling_points", z)
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "log_scores", scores)

@@ -14,6 +14,10 @@ carried in precision form ``(m, P, a, b)``.  Conditioning on a design row
 predictive is Student-t:
 
     y | x  ~  t_{2a}( x'm,  sqrt(b/a * (1 + x' P^{-1} x)) ).
+
+A posterior a user builds is checked in full, its precision by a Cholesky
+factorisation.  ``nig_update`` checks its observations; the posterior it
+derives is checked only for overflow and a rate rounded to zero or below.
 """
 
 from __future__ import annotations
@@ -71,18 +75,8 @@ class NigPosterior:
             raise ValueError(
                 f"precision_matrix shape {P.shape} does not match {m.size} coefficients"
             )
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
-            raise ValueError("posterior parameters must be finite")
-        if np.max(np.abs(P - P.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(P))):
-            raise ValueError("precision_matrix must be symmetric")
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError:
-            raise ValueError("precision_matrix must be positive definite") from None
         if not (float(self.shape_a) > 0.0 and math.isfinite(float(self.shape_a))):
             raise ValueError(f"shape_a must be a finite positive real, got {self.shape_a!r}")
-        if not (float(self.rate_b) > 0.0 and math.isfinite(float(self.rate_b))):
-            raise ValueError(f"rate_b must be a finite positive real, got {self.rate_b!r}")
         indices = tuple(int(i) for i in self.covariate_indices)
         if any(i < 0 for i in indices):
             raise ValueError("covariate indices must be nonnegative")
@@ -91,17 +85,34 @@ class NigPosterior:
                 f"{len(indices)} covariate indices imply {len(indices) + 1} coefficients "
                 f"(intercept included), got {m.size}"
             )
-        m.flags.writeable = False
-        P.flags.writeable = False
-        object.__setattr__(self, "coefficient_mean", m)
-        object.__setattr__(self, "precision_matrix", P)
-        object.__setattr__(self, "shape_a", float(self.shape_a))
-        object.__setattr__(self, "rate_b", float(self.rate_b))
-        object.__setattr__(self, "covariate_indices", indices)
+        _settle(self, m, P, float(self.shape_a), float(self.rate_b), indices)
+        # What nig_update's posteriors have by construction, checked here only.
+        if np.max(np.abs(P - P.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(P))):
+            raise ValueError("precision_matrix must be symmetric")
+        try:
+            np.linalg.cholesky(P)
+        except np.linalg.LinAlgError:
+            raise ValueError("precision_matrix must be positive definite") from None
 
     @property
     def n_coefficients(self) -> int:
         return self.coefficient_mean.size
+
+
+def _settle(post: NigPosterior, m, P, a: float, b: float, indices) -> None:
+    """Set ``post``'s fields from fresh arrays, refusing what arithmetic can break.
+
+    Both ways to build a posterior end here, so both refuse it with one message.
+    """
+    if not (np.isfinite(m).all() and np.isfinite(P).all()):
+        raise ValueError("posterior parameters must be finite")
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ValueError(f"rate_b must be a finite positive real, got {b!r}")
+    m.flags.writeable = False
+    P.flags.writeable = False
+    post.__dict__.update(
+        coefficient_mean=m, precision_matrix=P, shape_a=a, rate_b=b, covariate_indices=indices
+    )
 
 
 def diffuse_nig(
@@ -174,13 +185,10 @@ def nig_update(posterior: NigPosterior, x, y) -> NigPosterior:
     m1 = np.linalg.solve(P1, P0 @ m0 + X.T @ yv)
     a1 = posterior.shape_a + 0.5 * yv.size
     b1 = posterior.rate_b + 0.5 * (yv @ yv + m0 @ P0 @ m0 - m1 @ P1 @ m1)
-    return NigPosterior(
-        coefficient_mean=m1,
-        precision_matrix=P1,
-        shape_a=a1,
-        rate_b=b1,
-        covariate_indices=posterior.covariate_indices,
-    )
+    # P1 is symmetric positive definite by construction: no copies, no factorisation.
+    out = object.__new__(NigPosterior)
+    _settle(out, m1, P1, float(a1), float(b1), posterior.covariate_indices)
+    return out
 
 
 def nig_predictive(posterior: NigPosterior, x) -> StudentT:

@@ -6,6 +6,9 @@ with every expert's realised log predictive score.  Neighbourhood lookups
 standardise coordinates by the history's own per-dimension mean and
 standard deviation, so calipers are expressed in comparable units
 regardless of covariate scale.
+
+``check_records`` and ``check_widths`` hold the record rules and the
+caliper-width rule; every entry point that takes records or widths calls them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PredictionRecord", "History", "caliper_rows", "check_widths"]
+__all__ = ["PredictionRecord", "History", "caliper_rows", "check_records", "check_widths"]
 
 # A pooling dimension that never varies carries no distance information;
 # dividing by its (near-)zero spread would blow every distance up to inf.
@@ -24,9 +27,54 @@ __all__ = ["PredictionRecord", "History", "caliper_rows", "check_widths"]
 _DEGENERATE_STD = 1e-12
 
 
+def check_records(times, points, outcomes, scores):
+    """Check a block of records against every record rule; return fresh read-only arrays.
+
+    Row ``i`` of ``times`` (n,), ``points`` (n, d), ``outcomes`` (n,) and ``scores``
+    (n, K) is record ``i``.  A ``-inf`` score is legal; a fractional time is refused.
+    """
+    times = np.asarray(times).reshape(-1)
+    points = np.array(points, dtype=float)
+    outcomes = np.array(outcomes, dtype=float).reshape(-1)
+    scores = np.array(scores, dtype=float)
+    if points.ndim != 2 or scores.ndim != 2:
+        raise ValueError("points and scores must be 2-D, one row per record")
+    if not (points.shape[0] == outcomes.size == scores.shape[0] == times.size):
+        raise ValueError("times, points, outcomes and scores need one row per record")
+    if times.size == 0:
+        raise ValueError("a block needs at least one record")
+    if points.shape[1] == 0:
+        raise ValueError("need at least one pooling dimension")
+    if scores.shape[1] == 0:
+        raise ValueError("need at least one expert")
+    if not np.isfinite(points).all():
+        raise ValueError("pooling_point must be finite")
+    if not np.isfinite(outcomes).all():
+        raise ValueError("outcome must be finite")
+    if not (scores < np.inf).all():  # NaN fails the comparison too
+        raise ValueError("log_scores must be NaN-free and below +inf")
+    if times.dtype.kind == "i":
+        times = times.astype(int)
+    else:
+        with np.errstate(invalid="ignore"):
+            whole = times.astype(int)
+        fractional = whole != times  # NaN, inf and out-of-range times too
+        if fractional.any():
+            raise ValueError(f"time_index must be an integer, got {float(times[fractional][0])!r}")
+        times = whole
+    if times.size > 1:
+        late = np.flatnonzero(times[1:] <= times[:-1])
+        if late.size:
+            i = late[0]
+            raise ValueError(f"time_index {times[i + 1]} not after last recorded {times[i]}")
+    for array in (times, points, outcomes, scores):
+        array.flags.writeable = False
+    return times, points, outcomes, scores
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionRecord:
-    """One scored prediction: where it was made and how each expert did."""
+    """One scored prediction (a checked block of one): where it was made, how each expert did."""
 
     time_index: int
     pooling_point: np.ndarray
@@ -34,22 +82,16 @@ class PredictionRecord:
     log_scores: np.ndarray
 
     def __post_init__(self) -> None:
-        z = np.array(self.pooling_point, dtype=float).reshape(-1)
-        s = np.array(self.log_scores, dtype=float).reshape(-1)
-        if z.size == 0:
-            raise ValueError("pooling_point must have at least one dimension")
-        if s.size == 0:
-            raise ValueError("log_scores must cover at least one expert")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("pooling_point must be finite")
-        if np.any(np.isnan(s)) or np.any(s == np.inf):
-            raise ValueError("log_scores must be NaN-free and below +inf")
-        z.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "time_index", int(self.time_index))
-        object.__setattr__(self, "pooling_point", z)
-        object.__setattr__(self, "outcome", float(self.outcome))
-        object.__setattr__(self, "log_scores", s)
+        times, points, outcomes, scores = check_records(
+            self.time_index,
+            np.reshape(self.pooling_point, (1, -1)),
+            self.outcome,
+            np.reshape(self.log_scores, (1, -1)),
+        )
+        object.__setattr__(self, "time_index", int(times[0]))
+        object.__setattr__(self, "pooling_point", points[0])
+        object.__setattr__(self, "outcome", float(outcomes[0]))
+        object.__setattr__(self, "log_scores", scores[0])
 
 
 class History:
@@ -94,34 +136,17 @@ class History:
 
     @classmethod
     def from_arrays(cls, times, points, outcomes, scores) -> "History":
-        """A history holding one block of records, row ``i`` being record ``i``.
-
-        ``points`` is (n, d) and ``scores`` is (n, K); the block is checked
-        with the rules and messages of ``PredictionRecord`` and ``append``.
-        """
-        times = np.asarray(times, dtype=int).reshape(-1)
-        points = np.asarray(points, dtype=float)
-        outcomes = np.asarray(outcomes, dtype=float).reshape(-1)
-        scores = np.asarray(scores, dtype=float)
-        if points.ndim != 2 or scores.ndim != 2:
-            raise ValueError("points and scores must be 2-D, one row per record")
-        if times.size == 0:
-            raise ValueError("cannot build a history from an empty block")
-        if not (points.shape[0] == outcomes.size == scores.shape[0] == times.size):
-            raise ValueError("times, points, outcomes and scores need one row per record")
-        if not np.isfinite(points).all():
-            raise ValueError("pooling_point must be finite")
-        if not (scores < np.inf).all():  # NaN fails the comparison too
-            raise ValueError("log_scores must be NaN-free and below +inf")
+        """A history holding one block of records, checked by ``check_records``."""
+        times, points, outcomes, scores = check_records(times, points, outcomes, scores)
         out = cls(points.shape[1], scores.shape[1])
         out._add_block(times, points, outcomes, scores)
         return out
 
     def _add_block(self, times, points, outcomes, scores) -> None:
-        """Append rows of checked values and refresh the moments.
+        """Append rows ``check_records`` has passed and refresh the moments.
 
-        Every growth passes here, so this is where the rows' shape and
-        time order are checked against the history and each other.
+        Every growth passes here, so this checks the rows against the history:
+        its dimensions and experts, and a first time after the last recorded one.
         """
         if points.shape[1] != self._n_dims:
             raise ValueError(
@@ -131,11 +156,8 @@ class History:
             raise ValueError(
                 f"record scores {scores.shape[1]} experts, history expects {self._n_experts}"
             )
-        ordered = np.concatenate([self._times[-1:], times])
-        late = ordered[1:] <= ordered[:-1]
-        if late.any():
-            i = int(late.argmax())
-            raise ValueError(f"time_index {ordered[i + 1]} not after last recorded {ordered[i]}")
+        if self._times.size and times[0] <= self._times[-1]:
+            raise ValueError(f"time_index {times[0]} not after last recorded {self._times[-1]}")
         self._times = np.concatenate([self._times, times])
         self._points = np.concatenate([self._points, points])
         self._outcomes = np.concatenate([self._outcomes, outcomes])
@@ -226,12 +248,13 @@ def caliper_rows(dist: np.ndarray, widths) -> list[np.ndarray]:
     ``dist`` is one ``History.distances`` pass; this is how every caliper
     is cut from it.
     """
-    check_widths(widths)
-    return [np.nonzero(dist <= width)[0] for width in widths]
+    return [np.nonzero(dist <= width)[0] for width in check_widths(widths)]
 
 
-def check_widths(widths) -> None:
-    """Raise ``ValueError`` unless every caliper width is nonnegative."""
+def check_widths(widths) -> tuple[float, ...]:
+    """The caliper widths as floats; raise ``ValueError`` unless each is positive (``inf`` is)."""
+    widths = tuple(map(float, widths))
     for width in widths:
-        if not (width >= 0.0):
-            raise ValueError(f"caliper width must be nonnegative, got {width!r}")
+        if not width > 0.0:
+            raise ValueError(f"caliper widths must be positive, got {width!r}")
+    return widths

@@ -33,6 +33,7 @@ from .evaluation import (
     SCHEMES,
     EvaluationStream,
     _pool_cells,
+    check_schemes,
 )
 from .experts import (
     NigPosterior,
@@ -149,21 +150,16 @@ def default_experts() -> tuple[tuple[str, NigPosterior], ...]:
     )
 
 
-def nig_evaluation_stream(
-    data: SimulatedData,
-    experts=None,
-) -> EvaluationStream:
-    """Score regression experts through the data, one step ahead.
+def nig_evaluation_stream(data: SimulatedData) -> EvaluationStream:
+    """Score the ``default_experts`` through the data, one step ahead.
 
     At each step every expert's current posterior predictive is scored
     against the realised outcome, and only then is the observation used
     to update that expert — the stream is safe for rolling evaluation.
     Pooling points are the raw covariate vectors.
     """
-    if experts is None:
-        experts = default_experts()
-    names = tuple(name for name, _ in experts)
-    posteriors = [posterior for _, posterior in experts]
+    names, priors = zip(*default_experts())
+    posteriors = list(priors)
     n = data.n_obs
     scores = np.empty((n, len(posteriors)))
     for t in range(n):
@@ -248,7 +244,6 @@ def estimator_error_study(
     replications: int = 500,
     config: DgpConfig | None = None,
     *,
-    experts=None,
     train_fraction: float = 0.5,
 ) -> ErrorStudyResult:
     """Monte Carlo error distribution of the caliper estimator.
@@ -266,7 +261,6 @@ def estimator_error_study(
         config,
         error_widths=width_grid,
         pool_widths=None,
-        experts=experts,
         train_fraction=train_fraction,
     )
     return errors[0]
@@ -313,7 +307,6 @@ def pool_comparison_study(
     config: DgpConfig | None = None,
     *,
     schemes=DEFAULT_POOL_SCHEMES,
-    experts=None,
     train_fraction: float = 0.5,
 ) -> PoolStudyResult:
     """Monte Carlo comparison of pooling schemes at fixed query points.
@@ -332,7 +325,6 @@ def pool_comparison_study(
         error_widths=None,
         pool_widths=width_grid,
         schemes=schemes,
-        experts=experts,
         train_fraction=train_fraction,
     )
     return pool
@@ -346,7 +338,6 @@ def replication_studies(
     error_widths=DEFAULT_ERROR_WIDTHS,
     pool_widths=DEFAULT_POOL_WIDTHS,
     schemes=DEFAULT_POOL_SCHEMES,
-    experts=None,
     train_fraction: float = 0.5,
 ) -> tuple[tuple[ErrorStudyResult, ...], PoolStudyResult | None]:
     """Both replication studies from one pass over the replications.
@@ -368,8 +359,7 @@ def replication_studies(
     if replications < 100:
         raise ValueError("need at least 100 replications for a stable picture")
     config = config if config is not None else DgpConfig()
-    if experts is None:
-        experts = default_experts()
+    experts = default_experts()
     names = tuple(name for name, _ in experts)
     k = len(names)
     z_points = np.atleast_2d(np.asarray(query_points, dtype=float))
@@ -377,15 +367,10 @@ def replication_studies(
     run_errors = error_widths is not None
     run_pool = pool_widths is not None
     if run_errors:
-        error_widths = tuple(float(w) for w in error_widths)
-        check_widths(error_widths)
+        error_widths = check_widths(error_widths)
     if run_pool:
-        pool_widths = tuple(float(w) for w in pool_widths)
-        check_widths(pool_widths)
-        schemes = tuple(schemes)
-        unknown = [s for s in schemes if s not in SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown schemes {unknown}")
+        pool_widths = check_widths(pool_widths)
+        schemes = check_schemes(schemes)
     train_size = int(round(train_fraction * config.sample_size))
     if not 1 <= train_size < config.sample_size:
         raise ValueError("train fraction leaves an empty batch")

@@ -175,7 +175,8 @@ def test_criterion_04_caliper_correctness():
             )
         )
 
-    widths = [0.0, 0.5, 1.0, 1.5, 2.0, np.inf]
+    # math.ulp(0.0), the narrowest positive width, holds the exact matches only
+    widths = [math.ulp(0.0), 0.5, 1.0, 1.5, 2.0, np.inf]
     previous: set[int] = set()
     for width in widths:
         members = set(h.caliper_neighbors(np.array([1.0]), width).tolist())

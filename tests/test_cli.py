@@ -283,6 +283,34 @@ def test_simulate_checks_every_input_before_writing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, command",
+    [
+        pytest.param(["--widths", "0,1"], ["simulate", "--study", "both"], id="simulate-width-0"),
+        pytest.param(["--schemes", "equal,equal"], ["simulate", "--study", "pool"],
+                     id="simulate-duplicate-schemes"),
+        pytest.param(["--widths", "0"], ["pool-once", "--width", "0"], id="pool-once-width-0"),
+    ],
+)
+def test_every_command_refuses_a_bad_width_or_scheme_list_as_evaluate_does(
+    tmp_path, capsys, flags, command
+):
+    """Widths and scheme lists have one rule each, so every command refuses
+    the same input with the message ``evaluate`` gives, and writes nothing."""
+    rc = main(["evaluate", *EVAL_ARGS, *flags, "--out", str(tmp_path / "ev")])
+    message = capsys.readouterr().err
+    assert rc == 1 and message.startswith("error: ")
+    assert not (tmp_path / "ev").exists()
+    out = tmp_path / "out"
+    if command[0] == "simulate":
+        rest = ["--replications", "100", "--sample-size", "200", *flags]
+    else:
+        rest = ["--scores", str(_score_csv(tmp_path)), "--point", "0,0"]
+    assert main([*command, *rest, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_simulate_rejects_an_unknown_study_from_the_config(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text(f"[simulate]\nstudy = bogus\n[run]\noutput_dir = {tmp_path / 'sim'}\n")

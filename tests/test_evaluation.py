@@ -27,7 +27,12 @@ from localpools.pools import (
     pooled_log_scores,
     softmax_weights,
 )
-from localpools.simulation import DgpConfig, generate_dgp, nig_evaluation_stream
+from localpools.simulation import (
+    DgpConfig,
+    generate_dgp,
+    nig_evaluation_stream,
+    replication_studies,
+)
 
 
 def _synthetic_stream(T=60, k=3, seed=0):
@@ -86,6 +91,26 @@ class TestConfigValidation:
         cfg = EvaluationConfig(schemes=("equal", "global_opt"), width_grid=())
         assert cfg.width_grid == ()
 
+    def test_one_width_rule_for_the_config_the_studies_and_every_caliper(self):
+        """Width 0 and NaN are refused with one message wherever a width enters."""
+        history = History.from_arrays(
+            np.arange(4), np.arange(8.0).reshape(4, 2), np.zeros(4), np.zeros((4, 2))
+        )
+        study = dict(replications=100, config=DgpConfig(sample_size=200))
+        for bad in (0.0, math.nan):
+            refusals = [
+                lambda: EvaluationConfig(schemes=("local_opt",), width_grid=(1.0, bad)),
+                lambda: replication_studies(error_widths=(bad,), pool_widths=None, **study),
+                lambda: replication_studies(error_widths=None, pool_widths=(1.0, bad), **study),
+                lambda: history.caliper_neighbors((0.0, 0.0), bad),
+                lambda: caliper_elpd(history, (0.0, 0.0), bad),
+                lambda: local_opt_weights(history, (0.0, 0.0), bad),
+            ]
+            for refuse in refusals:
+                with pytest.raises(ValueError) as raised:
+                    refuse()
+                assert str(raised.value) == f"caliper widths must be positive, got {bad!r}"
+
     def test_scaling_rule_duck_check(self):
         with pytest.raises(ValueError):
             EvaluationConfig(schemes=("local_softmax",), scaling_grid=(1.0,))
@@ -98,7 +123,7 @@ class TestStreamValidation:
         assert s.n_pooling_dims == 1
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ValueError, match="one row per record"):
             EvaluationStream(np.zeros((4, 1)), np.zeros(3), np.zeros((4, 2)), ("a", "b"))
 
     def test_empty_stream(self):

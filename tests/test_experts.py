@@ -14,6 +14,7 @@ from localpools.experts import (
     nig_predictive,
     nig_update,
 )
+from localpools.simulation import DgpConfig, generate_dgp, nig_evaluation_stream
 from oracles import nig_predictive_logpdf_by_evidence_ratio, sample_nig_predictive
 
 
@@ -133,6 +134,57 @@ class TestUpdates:
             nig_update(prior, np.ones(3), 1.0)
         with pytest.raises(ValueError):
             nig_update(prior, np.array([1.0, np.inf]), 1.0)
+
+
+class TestDerivedPosteriors:
+    """``nig_update`` checks its observations; the posterior it derives is
+    not copied, re-checked for symmetry or factorised again."""
+
+    def test_a_stream_factorises_only_the_priors(self, monkeypatch):
+        factorised = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            factorised.append(np.array(a))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        nig_evaluation_stream(generate_dgp(DgpConfig(sample_size=30, seed=1)))
+        assert len(factorised) == 2  # the two diffuse priors, nothing else
+        for precision in factorised:
+            np.testing.assert_array_equal(precision, 1e-6 * np.eye(2))
+
+    def test_derived_arrays_are_read_only_and_those_of_the_checked_constructor(self):
+        post, _, _ = _toy_fit(n=25, indices=(0, 1))
+        checked = NigPosterior(
+            coefficient_mean=post.coefficient_mean,
+            precision_matrix=post.precision_matrix,
+            shape_a=post.shape_a,
+            rate_b=post.rate_b,
+            covariate_indices=post.covariate_indices,
+        )
+        for name in ("coefficient_mean", "precision_matrix"):
+            derived, rebuilt = getattr(post, name), getattr(checked, name)
+            assert not derived.flags.writeable
+            assert derived.dtype == rebuilt.dtype and derived.shape == rebuilt.shape
+            assert derived.tobytes() == rebuilt.tobytes()
+        for name in ("shape_a", "rate_b", "covariate_indices"):
+            assert getattr(post, name) == getattr(checked, name)
+            assert type(getattr(post, name)) is type(getattr(checked, name))
+
+    def test_a_derived_rate_at_or_below_zero_still_raises(self):
+        # The exact rate increment (y - m0)^2 P0 / (P0 + 1) / 2 is 0 here;
+        # rounding in m1' P1 m1 at this magnitude makes it -32.
+        m0, p0 = 183899064.39653343, 8.645471331263877
+        prior = NigPosterior(np.array([m0]), np.array([[p0]]), 1.0, 1.0, ())
+        with pytest.raises(ValueError, match="rate_b must be a finite positive real, got -31.0"):
+            nig_update(prior, np.array([1.0]), m0)
+
+    def test_a_derived_rate_that_overflows_still_raises(self):
+        # y^2 and m1' P1 m1 both overflow, so the rate is inf - inf = NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="rate_b must be a finite positive real, got nan"):
+                nig_update(diffuse_nig(()), np.array([1.0]), 1e200)
 
 
 class TestPredictive:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localpools.evaluation import EvaluationStream
 from localpools.history import History, PredictionRecord
 
 
@@ -84,7 +87,7 @@ class TestFromArrays:
         # the history owns copies: the caller's arrays can change freely
         points[0, 0] = 99.0
         assert h.pooling_points[0, 0] == 0.0
-        with pytest.raises(ValueError, match="cannot build a history from an empty block"):
+        with pytest.raises(ValueError, match="a block needs at least one record"):
             History.from_arrays([], np.empty((0, 2)), [], np.empty((0, 2)))
 
     @pytest.mark.parametrize(
@@ -129,6 +132,65 @@ class TestFromArrays:
         with pytest.raises(ValueError, match="time_index 1 not after last recorded 1"):
             h.append(_record(1, (1.0, 2.0), (0.0, 0.0)))
         assert len(h) == 2
+
+
+def _set(key, index, value):
+    return lambda b: b[key].__setitem__(index, value)
+
+
+# One bad record (or a block whose rows disagree) per case, and the message
+# the record rule gives for it at every entry point.
+BAD_BLOCKS = [
+    pytest.param(_set("points", (1, 0), np.inf), "pooling_point must be finite", id="inf-point"),
+    pytest.param(_set("outcomes", 1, np.nan), "outcome must be finite", id="nan-outcome"),
+    pytest.param(_set("outcomes", 2, -np.inf), "outcome must be finite", id="inf-outcome"),
+    pytest.param(_set("scores", (2, 0), np.nan), "log_scores must be NaN-free and below +inf",
+                 id="nan-score"),
+    pytest.param(_set("scores", (1, 1), np.inf), "log_scores must be NaN-free and below +inf",
+                 id="plus-inf-score"),
+    pytest.param(_set("times", 1, 0.5), "time_index must be an integer, got 0.5",
+                 id="fractional-time"),
+    pytest.param(_set("times", 2, 1.0), "time_index 1 not after last recorded 1",
+                 id="repeated-time"),
+    pytest.param(lambda b: b.update(outcomes=np.zeros((3, 2))),
+                 "times, points, outcomes and scores need one row per record",
+                 id="mismatched-lengths"),
+]
+
+
+def _rows_as_records(times, points, outcomes, scores):
+    history = History(points.shape[1], scores.shape[1])
+    for row in zip(times, points, outcomes, scores):
+        history.append(PredictionRecord(*row))
+
+
+@pytest.mark.parametrize("edit, message", BAD_BLOCKS)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda b: History.from_arrays(**b), id="from_arrays"),
+        pytest.param(
+            lambda b: EvaluationStream(
+                b["points"], b["outcomes"], b["scores"], ("a", "b"), b["times"]
+            ),
+            id="EvaluationStream",
+        ),
+        pytest.param(lambda b: _rows_as_records(**b), id="PredictionRecord"),
+    ],
+)
+def test_every_entry_point_refuses_a_bad_block_with_one_message(entry, edit, message):
+    """The record rules are one function; each entry point says the same."""
+    block = {
+        "times": np.arange(3.0),
+        "points": np.zeros((3, 2)),
+        "outcomes": np.zeros(3),
+        "scores": np.full((3, 2), -1.0),
+    }
+    entry({key: value.copy() for key, value in block.items()})  # the good block passes
+    edit(block)
+    with pytest.raises(ValueError) as raised:
+        entry(block)
+    assert str(raised.value).startswith(message)
 
 
 class TestStandardization:
@@ -197,9 +259,9 @@ class TestCaliper:
         tight = h.caliper_neighbors((0.0,), 2.0 - 1e-12)
         np.testing.assert_array_equal(tight, [0])
 
-    def test_zero_width_catches_exact_matches_only(self):
+    def test_narrowest_width_catches_exact_matches_only(self):
         h = _filled_history()
-        np.testing.assert_array_equal(h.caliper_neighbors((1.0, 0.0), 0.0), [1])
+        np.testing.assert_array_equal(h.caliper_neighbors((1.0, 0.0), math.ulp(0.0)), [1])
 
     def test_empty_history(self):
         h = History(2, 2)
@@ -227,7 +289,7 @@ class TestCaliper:
         min_size=2,
         max_size=20,
     ),
-    st.floats(min_value=0, max_value=5),
+    st.floats(min_value=0, max_value=5, exclude_min=True),
     st.floats(min_value=0.01, max_value=4.9),
 )
 @settings(max_examples=150, deadline=None)
@@ -273,7 +335,7 @@ def _blocks(draw):
     return times, points, outcomes, scores, query
 
 
-@given(_blocks(), st.floats(min_value=0, max_value=5))
+@given(_blocks(), st.floats(min_value=0, max_value=5, exclude_min=True))
 @settings(max_examples=100, deadline=None)
 def test_from_arrays_matches_appending_row_by_row(block, width):
     """One block and the same rows appended one by one give the same bits,
@@ -309,7 +371,7 @@ def test_from_arrays_matches_appending_row_by_row(block, width):
     ]
     pairs += [
         (whole.caliper_neighbors(query, w), grown.caliper_neighbors(query, w))
-        for w in (0.0, width, np.inf)
+        for w in (math.ulp(0.0), width, np.inf)
     ]
     for a, b in pairs:
         assert _same_bits(a, b)

@@ -7,6 +7,7 @@ import pytest
 
 from localpools import pools
 from localpools.densities import Mixture
+from localpools.evaluation import EvaluationConfig
 from localpools.experts import design_vector, nig_predictive, nig_update
 from localpools.history import caliper_rows
 from localpools.local_elpd import LocalElpdEstimate, true_local_elpd
@@ -258,6 +259,16 @@ class TestPoolStudy:
                 expected.extend(sorted(counts - {0, len(history)}))
         assert fitted.count(100) == 100
         assert sorted(fitted) == sorted(expected)
+
+    def test_scheme_list_rule_is_the_configs(self):
+        """An empty, unknown or repeated scheme is refused before the first
+        draw, with the message ``EvaluationConfig`` gives."""
+        for schemes in ((), ("equal", "nope"), ("equal", "equal")):
+            with pytest.raises(ValueError) as config_error:
+                EvaluationConfig(schemes=schemes)
+            with pytest.raises(ValueError) as study_error:
+                pool_comparison_study(replications=100, config=FAST, schemes=schemes)
+            assert str(study_error.value) == str(config_error.value)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
