@@ -326,8 +326,10 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
         )
         for family, labels in result.candidate_labels.items():
             table = result.candidate_log_scores[family]
-            total_all = table[live].sum(axis=0)
-            total_rep = table[live & reported].sum(axis=0)
+            # Shadow scores near 1e308 sum to +inf, as rolling_evaluate's totals do.
+            with np.errstate(over="ignore"):
+                total_all = table[live].sum(axis=0)
+                total_rep = table[live & reported].sum(axis=0)
             for j, label in enumerate(labels):
                 writer.writerow(
                     [family, label, format_real(total_all[j]), format_real(total_rep[j])]

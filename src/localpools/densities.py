@@ -4,6 +4,10 @@ Everything downstream works with log densities, so the arithmetic here is
 deliberately defensive: sums of exponentials are always max-subtracted,
 log densities of exactly-zero density are ``-inf`` (never NaN), and a
 weighted combination of identical log densities reproduces them bit for bit.
+
+Only ``student_t_log_pdf`` needs scipy (``gammaln`` for the normaliser), and
+it imports it at its first call, so a run that only pools existing score
+rows never loads scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "PoolWeights",
@@ -128,7 +131,13 @@ def student_t_log_pdf(z, log_scale, dof: float):
 
     Callers take ``log_scale`` themselves: ``math.log`` and ``np.log`` can
     differ in the last bit, and each caller keeps the one it always used.
+    scipy is imported here, at the first call, not with the package, so
+    commands that only read score CSVs never load it.  ``math.lgamma``
+    would need no scipy but differs from ``gammaln`` in the last bit at
+    some half-integers.
     """
+    from scipy.special import gammaln
+
     return (
         gammaln(0.5 * (dof + 1.0))
         - gammaln(0.5 * dof)
@@ -212,7 +221,9 @@ def pooled_rows(weights: np.ndarray, log_scores: np.ndarray) -> np.ndarray:
     lp = np.where(w > 0.0, lp, -np.inf)
     top = lp.max(axis=-1)
     shift = np.where(top > -np.inf, top, 0.0)
-    with np.errstate(divide="ignore"):  # log(0) on rows that pool to -inf
+    # log(0) on rows that pool to -inf; a score of -1e308 less a shift of
+    # 1e308 overflows to -inf, whose term is the exact 0 it would round to.
+    with np.errstate(divide="ignore", over="ignore"):
         total = (w * np.exp(lp - shift[..., None])).sum(axis=-1)
         return top + (np.log(total) - np.log(w.sum(axis=-1)))
 

@@ -348,51 +348,54 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
     pooled = {scheme: np.empty(n_reported) for scheme in schemes}
     chosen = {scheme: np.zeros(n_reported, dtype=int) for scheme in schemes}
 
-    for row, t in enumerate(range(config.warmup_size, T)):
-        z = stream.pooling_points[t]
-        expert_row = stream.log_scores[t]
-        report = row - config.history_size
+    # Shadow totals of scores near 1e308 overflow to +inf, which selection
+    # compares as any other total; one errstate for the whole run.
+    with np.errstate(over="ignore"):
+        for row, t in enumerate(range(config.warmup_size, T)):
+            z = stream.pooling_points[t]
+            expert_row = stream.log_scores[t]
+            report = row - config.history_size
 
-        # Shadow pools are scored at every non-warmup step, including the
-        # history batch, so selection has something to go on when
-        # reporting starts.  Scored strictly before the record lands.  All
-        # cells of the step share one query, one check and one pooling pass.
-        query = PoolQuery(history, z, config.width_grid, config.scaling_grid)
-        grids = {
-            scheme: SCHEMES[scheme].grid(query)
-            for scheme in schemes
-            if report >= 0 or scheme in ledger
-        }
-        shadow = {}
-        if grids:
-            scores = _pool_cells(np.concatenate(list(grids.values())), expert_row)
-            ends = np.cumsum([len(grid) for grid in grids.values()])
-            shadow = dict(zip(grids, np.split(scores, ends[:-1])))
-        for name, table in ledger.items():
-            table[row] = shadow[name]
-
-        if report >= 0:
-            for scheme, grid in grids.items():
-                pick = 0
-                if scheme in ledger:
-                    # Selection sees the cumulative totals before this step's row.
-                    pick = select_hyperparameters(cand_cum[scheme])
-                weights[scheme][report] = grid[pick]
-                pooled[scheme][report] = shadow[scheme][pick]
-                chosen[scheme][report] = pick
-
-        history.append(
-            PredictionRecord(
-                time_index=stream.time_indices[t],
-                pooling_point=z,
-                outcome=stream.outcomes[t],
-                log_scores=expert_row,
-            )
-        )
-        # The step's row is history row ``row`` now; only live rows count.
-        if history.live_rows[row]:
+            # Shadow pools are scored at every non-warmup step, including the
+            # history batch, so selection has something to go on when
+            # reporting starts.  Scored strictly before the record lands.  All
+            # cells of the step share one query, one check and one pooling pass.
+            query = PoolQuery(history, z, config.width_grid, config.scaling_grid)
+            grids = {
+                scheme: SCHEMES[scheme].grid(query)
+                for scheme in schemes
+                if report >= 0 or scheme in ledger
+            }
+            shadow = {}
+            if grids:
+                scores = _pool_cells(np.concatenate(list(grids.values())), expert_row)
+                ends = np.cumsum([len(grid) for grid in grids.values()])
+                shadow = dict(zip(grids, np.split(scores, ends[:-1])))
             for name, table in ledger.items():
-                cand_cum[name] = cand_cum[name] + table[row]
+                table[row] = shadow[name]
+
+            if report >= 0:
+                for scheme, grid in grids.items():
+                    pick = 0
+                    if scheme in ledger:
+                        # Selection sees the cumulative totals before this step's row.
+                        pick = select_hyperparameters(cand_cum[scheme])
+                    weights[scheme][report] = grid[pick]
+                    pooled[scheme][report] = shadow[scheme][pick]
+                    chosen[scheme][report] = pick
+
+            history.append(
+                PredictionRecord(
+                    time_index=stream.time_indices[t],
+                    pooling_point=z,
+                    outcome=stream.outcomes[t],
+                    log_scores=expert_row,
+                )
+            )
+            # The step's row is history row ``row`` now; only live rows count.
+            if history.live_rows[row]:
+                for name, table in ledger.items():
+                    cand_cum[name] = cand_cum[name] + table[row]
 
     for arrays in (weights, pooled, chosen, ledger):
         for array in arrays.values():

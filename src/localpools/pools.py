@@ -341,7 +341,10 @@ def optimize_pool_weights(
             weights = equal_weights(k)
             return (weights, np.array([-np.inf])) if return_history else weights
         E, row_max = E[live], row_max[live]
-    A = np.exp(E - row_max[:, None])
+    # A score of -1e308 less a row maximum of 1e308 overflows to -inf, and
+    # exp gives the 0 that a score so far below the row's best rounds to.
+    with np.errstate(over="ignore"):
+        A = np.exp(E - row_max[:, None])
     gains = [] if return_history else None
     w, gap = _certified_fit(A, gap_tol, max_iter, gains)
     if gap > gap_tol:
@@ -503,9 +506,12 @@ def _caliper_means(history: History, neighbors) -> np.ndarray:
     """
     estimates = np.zeros((len(neighbors), history.n_experts))
     means: dict[int, np.ndarray] = {}
-    for row, idx in zip(estimates, neighbors):
-        if idx.size:
-            if idx.size not in means:
-                means[idx.size] = history.score_matrix[idx].mean(axis=0)
-            row[:] = means[idx.size]
+    # Scores of size near 1e308 can sum to an infinite mean; the softmax
+    # takes an estimate of -inf or +inf as it is.
+    with np.errstate(over="ignore"):
+        for row, idx in zip(estimates, neighbors):
+            if idx.size:
+                if idx.size not in means:
+                    means[idx.size] = history.score_matrix[idx].mean(axis=0)
+                row[:] = means[idx.size]
     return estimates

@@ -4,10 +4,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import localpools
 from localpools.cli import main
 from localpools.evaluation import EvaluationConfig, EvaluationStream, rolling_evaluate
 from localpools.history import History, PredictionRecord
@@ -140,6 +145,7 @@ def test_gridsearch_leaves_dead_rows_out_of_the_totals(tmp_path, capsys):
         assert f"{family}: best cell by shadow total is {best}" in stdout
 
 
+@pytest.mark.filterwarnings("error")
 def test_scores_that_overflow_the_softmax_run_to_the_end(tmp_path):
     """Log scores of -1e308 and 1e308, which the loader accepts, take a
     factor times a caliper mean to -inf and +inf; every command still
@@ -166,6 +172,47 @@ def test_scores_that_overflow_the_softmax_run_to_the_end(tmp_path):
         cells.append(list(weights[scheme].values()))
         for cell in cells:
             assert all(0.0 <= w <= 1.0 for w in cell) and abs(math.fsum(cell) - 1.0) <= 1e-12
+
+
+def _fresh_python(code: str, cwd) -> None:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(localpools.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, check=True, timeout=60)
+
+
+def test_score_csv_commands_start_and_run_without_scipy(tmp_path):
+    """Only the Student-t density needs scipy: with scipy blocked, the
+    package imports and every command that reads a score CSV runs."""
+    _score_csv(tmp_path)
+    _fresh_python(
+        """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import localpools
+from localpools.cli import main
+flags = ["--scores", "scores.csv", "--warmup", "5", "--history", "10"]
+assert main(["evaluate", *flags, "--out", "ev"]) == 0
+assert main(["gridsearch", *flags, "--out", "gs"]) == 0
+assert main(["pool-once", "--scores", "scores.csv", "--point", "0,0", "--out", "once.json"]) == 0
+""",
+        tmp_path,
+    )
+
+
+def test_scipy_loads_at_the_first_student_t_density(tmp_path):
+    _fresh_python(
+        """
+import sys
+from localpools.cli import main
+assert "scipy" not in sys.modules
+argv = ["evaluate", "--simulate", "--sample-size", "30", "--warmup", "5", "--history", "5",
+        "--schemes", "equal", "--out", "ev"]
+assert main(argv) == 0
+assert "scipy.special" in sys.modules
+""",
+        tmp_path,
+    )
 
 
 def test_pool_once_to_file(tmp_path):

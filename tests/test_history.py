@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from localpools.evaluation import EvaluationStream
 from localpools.history import History, PredictionRecord
+from localpools.io import format_real, load_score_csv
 
 
 def _record(t, z, scores, y=0.0):
@@ -158,6 +159,15 @@ BAD_BLOCKS = [
 ]
 
 
+def _good_block():
+    return {
+        "times": np.arange(3.0),
+        "points": np.zeros((3, 2)),
+        "outcomes": np.zeros(3),
+        "scores": np.full((3, 2), -1.0),
+    }
+
+
 def _rows_as_records(times, points, outcomes, scores):
     history = History(points.shape[1], scores.shape[1])
     for row in zip(times, points, outcomes, scores):
@@ -180,17 +190,34 @@ def _rows_as_records(times, points, outcomes, scores):
 )
 def test_every_entry_point_refuses_a_bad_block_with_one_message(entry, edit, message):
     """The record rules are one function; each entry point says the same."""
-    block = {
-        "times": np.arange(3.0),
-        "points": np.zeros((3, 2)),
-        "outcomes": np.zeros(3),
-        "scores": np.full((3, 2), -1.0),
-    }
-    entry({key: value.copy() for key, value in block.items()})  # the good block passes
+    block = _good_block()
+    entry(_good_block())  # the good block passes
     edit(block)
     with pytest.raises(ValueError) as raised:
         entry(block)
     assert str(raised.value).startswith(message)
+
+
+def _csv_lines(times, points, outcomes, scores):
+    rows = zip(times, points, outcomes, scores)
+    return [",".join(format_real(v) for v in (t, y, *z, *lp)) for t, z, y, lp in rows]
+
+
+# A CSV row carries one of each field, so a block whose rows disagree in
+# number has no CSV form; every other bad block does.
+@pytest.mark.parametrize("edit, message", [p for p in BAD_BLOCKS if p.id != "mismatched-lengths"])
+def test_the_score_csv_loader_refuses_every_bad_block_at_its_line(tmp_path, edit, message):
+    """``load_score_csv`` keeps its own line-by-line copy of the record
+    rules; it must refuse each bad block, naming the bad record's line."""
+    block = _good_block()
+    good = _csv_lines(**block)
+    edit(block)
+    lines = _csv_lines(**block)
+    (bad_row,) = [r for r in range(3) if lines[r] != good[r]]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["t,y,z_1,z_2,lp_a,lp_b", *lines]) + "\n")
+    with pytest.raises(ValueError, match=rf": line {bad_row + 2}, column "):
+        load_score_csv(path)
 
 
 class TestStandardization:
