@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PredictionRecord", "History", "caliper_rows", "check_records", "check_widths"]
+__all__ = [
+    "PredictionRecord", "History", "RecordError", "caliper_rows", "check_records", "check_widths",
+]
 
 # A pooling dimension that never varies carries no distance information;
 # dividing by its (near-)zero spread would blow every distance up to inf.
@@ -27,11 +29,36 @@ __all__ = ["PredictionRecord", "History", "caliper_rows", "check_records", "chec
 _DEGENERATE_STD = 1e-12
 
 
+class RecordError(ValueError):
+    """A record rule's refusal, naming the first record it refuses.
+
+    That record is row ``row`` of the ``check_records`` argument ``field``
+    ("times", "points", "outcomes" or "scores"), in ``column`` if it is 2-D.
+    """
+
+    def __init__(self, message: str, row: int, field: str, column: int | None = None) -> None:
+        super().__init__(message)
+        self.row, self.field, self.column = row, field, column
+
+
+def _require(ok: np.ndarray, field: str, message: str) -> None:
+    """Refuse the first record (row-major) at which ``ok`` is False."""
+    if not ok.all():
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        raise RecordError(message, int(at[0]), field, int(at[1]) if ok.ndim == 2 else None)
+
+
+def _late(time, last, row: int) -> RecordError:
+    message = f"time_index {time} not after last recorded {last}; records must be sorted by time"
+    return RecordError(message, row, "times")
+
+
 def check_records(times, points, outcomes, scores):
     """Check a block of records against every record rule; return fresh read-only arrays.
 
     Row ``i`` of ``times`` (n,), ``points`` (n, d), ``outcomes`` (n,) and ``scores``
-    (n, K) is record ``i``.  A ``-inf`` score is legal; a fractional time is refused.
+    (n, K) is record ``i``.  A ``-inf`` score is legal; a fractional time, or one
+    beyond int64, is refused.  A refused record raises ``RecordError``.
     """
     times = np.asarray(times).reshape(-1)
     points = np.array(points, dtype=float)
@@ -47,26 +74,28 @@ def check_records(times, points, outcomes, scores):
         raise ValueError("need at least one pooling dimension")
     if scores.shape[1] == 0:
         raise ValueError("need at least one expert")
-    if not np.isfinite(points).all():
-        raise ValueError("pooling_point must be finite")
-    if not np.isfinite(outcomes).all():
-        raise ValueError("outcome must be finite")
-    if not (scores < np.inf).all():  # NaN fails the comparison too
-        raise ValueError("log_scores must be NaN-free and below +inf")
+    _require(np.isfinite(points), "points", "pooling_point must be finite")
+    _require(np.isfinite(outcomes), "outcomes", "outcome must be finite")
+    # NaN fails the comparison too.
+    _require(scores < np.inf, "scores", "log_scores must be NaN-free and below +inf")
     if times.dtype.kind == "i":
         times = times.astype(int)
     else:
-        with np.errstate(invalid="ignore"):
-            whole = times.astype(int)
-        fractional = whole != times  # NaN, inf and out-of-range times too
-        if fractional.any():
-            raise ValueError(f"time_index must be an integer, got {float(times[fractional][0])!r}")
+        # NaN, inf and times beyond int64 fall outside; Python ints that large
+        # arrive as an object array.
+        inside = (times >= -(2.0**63)) & (times < 2.0**63)
+        whole = np.where(inside, times, 0).astype(int)
+        integral = inside & (whole == times)
+        if not integral.all():
+            i = int(np.argmin(integral))
+            message = f"time_index must be an integer, got {float(times[i])!r}; times are int64"
+            raise RecordError(message, i, "times")
         times = whole
     if times.size > 1:
         late = np.flatnonzero(times[1:] <= times[:-1])
         if late.size:
-            i = late[0]
-            raise ValueError(f"time_index {times[i + 1]} not after last recorded {times[i]}")
+            i = int(late[0]) + 1
+            raise _late(times[i], times[i - 1], i)
     for array in (times, points, outcomes, scores):
         array.flags.writeable = False
     return times, points, outcomes, scores
@@ -157,7 +186,7 @@ class History:
                 f"record scores {scores.shape[1]} experts, history expects {self._n_experts}"
             )
         if self._times.size and times[0] <= self._times[-1]:
-            raise ValueError(f"time_index {times[0]} not after last recorded {self._times[-1]}")
+            raise _late(times[0], self._times[-1], 0)
         self._times = np.concatenate([self._times, times])
         self._points = np.concatenate([self._points, points])
         self._outcomes = np.concatenate([self._outcomes, outcomes])
@@ -210,14 +239,6 @@ class History:
         return self._live
 
     # -- standardisation and neighbourhoods ----------------------------
-
-    @property
-    def standardizing_mean(self) -> np.ndarray:
-        return self._mean.copy()
-
-    @property
-    def standardizing_std(self) -> np.ndarray:
-        return self._std.copy()
 
     def standardize(self, point) -> np.ndarray:
         """Map a pooling point into the history's standardised coordinates."""

@@ -4,8 +4,9 @@ The score CSV is the neutral interchange format for externally produced
 experts: one row per time step with header ``t, y, z_1..z_d,
 lp_<name1>..lp_<nameK>``.  Reals are serialised with 17 significant
 digits so a write-then-read round-trip is lossless for doubles.  The
-parser is strict — anything the writer would not produce is rejected
-with an error naming the offending line and column.
+reader takes any cell Python's ``float()`` reads, more than the writer
+produces; the record rules of ``history.check_records`` then apply, and
+an error names the offending line and column.
 
 Result emission produces three files per evaluation run: a per-step CSV
 (scores, weights, and chosen hyperparameters per scheme), a summary JSON
@@ -18,13 +19,13 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .evaluation import SCHEMES, EvaluationResult, EvaluationStream
+from .history import RecordError
 from .pools import NATURAL, FixedScaling
 from .simulation import ErrorStudyResult, PoolStudyResult
 
@@ -64,115 +65,67 @@ def _parse_header(header: list[str], path: str) -> tuple[int, tuple[str, ...]]:
             f"{path}: header must start with 't, y, z_1, ..., lp_<name>, ...'; "
             f"got {header[:4]}"
         )
-    i = 2
     n_dims = 0
-    while i < len(header) and header[i] == f"z_{n_dims + 1}":
+    while 2 + n_dims < len(header) and header[2 + n_dims] == f"z_{n_dims + 1}":
         n_dims += 1
-        i += 1
     if n_dims == 0:
         raise ScoreCsvError(f"{path}: no pooling columns ('z_1', ...) after 't, y'")
-    names: list[str] = []
-    while i < len(header) and header[i].startswith("lp_"):
-        names.append(header[i][3:])
-        i += 1
-    if not names:
+    columns = header[2 + n_dims :]
+    if not columns or not columns[0].startswith("lp_"):
         raise ScoreCsvError(f"{path}: no expert score columns ('lp_<name>')")
-    if i != len(header):
-        raise ScoreCsvError(f"{path}: unexpected column {header[i]!r} in header")
+    stray = [c for c in columns if not c.startswith("lp_")]
+    if stray:
+        raise ScoreCsvError(f"{path}: unexpected column {stray[0]!r} in header")
+    names = tuple(c[3:] for c in columns)
     if len(set(names)) != len(names):
         raise ScoreCsvError(f"{path}: duplicate expert names in header")
-    return n_dims, tuple(names)
-
-
-def _parse_cell(
-    text: str, path: str, line_no: int, column: str, *, score: bool = False
-) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ScoreCsvError(
-            f"{path}: line {line_no}, column {column!r}: not a number: {text!r}"
-        ) from None
-    if math.isnan(value):
-        raise ScoreCsvError(f"{path}: line {line_no}, column {column!r}: NaN cell")
-    if score:
-        if value == math.inf:
-            raise ScoreCsvError(
-                f"{path}: line {line_no}, column {column!r}: log score is +inf"
-            )
-    elif not math.isfinite(value):
-        raise ScoreCsvError(
-            f"{path}: line {line_no}, column {column!r}: non-finite value"
-        )
-    return value
+    return n_dims, names
 
 
 def load_score_csv(path) -> EvaluationStream:
     """Parse a score CSV into an evaluation-ready stream.
 
-    Enforces the exact writer format: full header, rectangular rows,
-    integer strictly-increasing ``t``, finite ``y`` and pooling
-    coordinates, and NaN-free log scores below +inf.
+    The loader checks the header, rectangular rows and that Python's
+    ``float()`` reads every cell (so ``1_0``, `` 0.5 `` and ``-Infinity``
+    are numbers too).  ``EvaluationStream`` then applies the record rules;
+    a refusal names the record's line and column.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ScoreCsvError(f"{path}: empty file") from None
-        n_dims, names = _parse_header([h.strip() for h in header], str(path))
-        n_cols = 2 + n_dims + len(names)
-
-        times: list[int] = []
-        outcomes: list[float] = []
-        points: list[list[float]] = []
-        scores: list[list[float]] = []
+        n_dims, names = _parse_header(header, str(path))
+        cells: list[float] = []
         for line_no, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
+            if len(row) != len(header):
                 raise ScoreCsvError(
-                    f"{path}: line {line_no}: expected {n_cols} cells, got {len(row)}"
+                    f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            t_val = _parse_cell(row[0], str(path), line_no, "t")
-            if t_val != int(t_val):
-                raise ScoreCsvError(
-                    f"{path}: line {line_no}, column 't': not an integer: {row[0]!r}"
-                )
-            t = int(t_val)
-            if times and t <= times[-1]:
-                raise ScoreCsvError(
-                    f"{path}: line {line_no}, column 't': {t} is not after {times[-1]}; "
-                    "rows must be sorted by t"
-                )
-            times.append(t)
-            outcomes.append(_parse_cell(row[1], str(path), line_no, "y"))
-            points.append(
-                [
-                    _parse_cell(row[2 + j], str(path), line_no, f"z_{j + 1}")
-                    for j in range(n_dims)
-                ]
-            )
-            scores.append(
-                [
-                    _parse_cell(
-                        row[2 + n_dims + k],
-                        str(path),
-                        line_no,
-                        f"lp_{names[k]}",
-                        score=True,
-                    )
-                    for k in range(len(names))
-                ]
-            )
-    if not times:
+            for column, text in zip(header, row):
+                try:
+                    cells.append(float(text))
+                except ValueError:
+                    raise ScoreCsvError(
+                        f"{path}: line {line_no}, column {column!r}: not a number: {text!r}"
+                    ) from None
+    if not cells:
         raise ScoreCsvError(f"{path}: no data rows")
-    return EvaluationStream(
-        pooling_points=np.array(points),
-        outcomes=np.array(outcomes),
-        log_scores=np.array(scores),
-        expert_names=names,
-        time_indices=np.array(times),
-    )
+    table = np.array(cells).reshape(-1, len(header))
+    try:
+        return EvaluationStream(
+            pooling_points=table[:, 2 : 2 + n_dims],
+            outcomes=table[:, 1],
+            log_scores=table[:, 2 + n_dims :],
+            expert_names=names,
+            time_indices=table[:, 0],
+        )
+    except RecordError as exc:
+        first = {"times": 0, "outcomes": 1, "points": 2, "scores": 2 + n_dims}[exc.field]
+        column = header[first + (exc.column or 0)]
+        raise ScoreCsvError(f"{path}: line {exc.row + 2}, column {column!r}: {exc}") from None
 
 
 def write_score_csv(path, stream: EvaluationStream) -> Path:

@@ -232,11 +232,6 @@ class ErrorStudyResult:
         """(widths, experts) error standard deviation — the variance picture."""
         return self.errors.std(axis=0, ddof=1)
 
-    def t_statistics(self) -> np.ndarray:
-        """(widths, experts) one-sample t statistics of the mean error."""
-        r = self.errors.shape[0]
-        return self.mean_errors() / (self.sd_errors() / math.sqrt(r))
-
 
 def estimator_error_study(
     query_point,

@@ -452,3 +452,13 @@ def test_malformed_csv_exits_nonzero(tmp_path, capsys):
     rc = main(["evaluate", "--scores", str(bad), "--warmup", "0", "--history", "0"])
     assert rc == 1
     assert "lp_a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("huge", ["1e20", "9223372036854775808"])
+def test_a_time_beyond_int64_is_an_error_line_not_a_crash(tmp_path, capsys, huge):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"t,y,z_1,lp_a\n0,1.0,0.5,-1\n{huge},1.0,0.5,-1\n")
+    rc = main(["evaluate", "--scores", str(bad), "--warmup", "0", "--history", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3, column 't': time_index must be an integer" in err

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localpools.evaluation import EvaluationStream
-from localpools.history import History, PredictionRecord
-from localpools.io import format_real, load_score_csv
+from localpools.history import History, PredictionRecord, RecordError, check_records
+from localpools.io import ScoreCsvError, format_real, load_score_csv
+from oracles import standardizing_moments
 
 
 def _record(t, z, scores, y=0.0):
@@ -153,6 +154,9 @@ BAD_BLOCKS = [
                  id="fractional-time"),
     pytest.param(_set("times", 2, 1.0), "time_index 1 not after last recorded 1",
                  id="repeated-time"),
+    # Python ints beyond int64 make an object array, not an int64 one.
+    pytest.param(lambda b: b.update(times=[0, 10**20, 2]),
+                 "time_index must be an integer, got 1e+20", id="huge-time"),
     pytest.param(lambda b: b.update(outcomes=np.zeros((3, 2))),
                  "times, points, outcomes and scores need one row per record",
                  id="mismatched-lengths"),
@@ -207,43 +211,49 @@ def _csv_lines(times, points, outcomes, scores):
 # number has no CSV form; every other bad block does.
 @pytest.mark.parametrize("edit, message", [p for p in BAD_BLOCKS if p.id != "mismatched-lengths"])
 def test_the_score_csv_loader_refuses_every_bad_block_at_its_line(tmp_path, edit, message):
-    """``load_score_csv`` keeps its own line-by-line copy of the record
-    rules; it must refuse each bad block, naming the bad record's line."""
+    """``load_score_csv`` leaves the record rules to ``check_records``; it
+    refuses each bad block with the rule's message, after the bad cell's
+    line and column."""
     block = _good_block()
     good = _csv_lines(**block)
     edit(block)
     lines = _csv_lines(**block)
     (bad_row,) = [r for r in range(3) if lines[r] != good[r]]
+    header = ["t", "y", "z_1", "z_2", "lp_a", "lp_b"]
+    cells = zip(header, good[bad_row].split(","), lines[bad_row].split(","))
+    (column,) = [name for name, before, after in cells if before != after]
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join(["t,y,z_1,z_2,lp_a,lp_b", *lines]) + "\n")
-    with pytest.raises(ValueError, match=rf": line {bad_row + 2}, column "):
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
+    with pytest.raises(RecordError) as rule:
+        check_records(**block)
+    assert str(rule.value).startswith(message)
+    with pytest.raises(ScoreCsvError) as raised:
         load_score_csv(path)
+    assert str(raised.value) == f"{path}: line {bad_row + 2}, column {column!r}: {rule.value}"
 
 
 class TestStandardization:
     def test_moments_are_population_moments(self):
         h = _filled_history()
         pts = h.pooling_points
-        np.testing.assert_allclose(h.standardizing_mean, pts.mean(axis=0))
-        np.testing.assert_allclose(h.standardizing_std, pts.std(axis=0))
+        z = h.standardize((1.0, 0.5))
+        np.testing.assert_allclose(z, ([1.0, 0.5] - pts.mean(axis=0)) / pts.std(axis=0))
 
     def test_standardize_centers_and_scales(self):
         h = _filled_history()
-        z = h.standardize((1.0, 0.5))
-        expected = (np.array([1.0, 0.5]) - h.standardizing_mean) / h.standardizing_std
-        np.testing.assert_allclose(z, expected)
+        mean, std = standardizing_moments(h.pooling_points)
+        np.testing.assert_array_equal(h.standardize(mean), [0.0, 0.0])
+        np.testing.assert_allclose(h.standardize(mean + std), [1.0, 1.0])
 
     def test_degenerate_dimension_falls_back_to_unit_scale(self):
         h = History(2, 1)
         for t in range(3):
             h.append(_record(t, (5.0, float(t)), (-1.0,)))
-        assert h.standardizing_std[0] == 1.0
+        assert h.standardize((6.0, 0.0))[0] == 1.0
         # constant dimension contributes nothing to distances
-        d = h.distances((5.0, h.standardizing_mean[1]))
-        manual = np.abs(
-            (h.pooling_points[:, 1] - h.standardizing_mean[1])
-            / h.standardizing_std[1]
-        )
+        mean, std = standardizing_moments(h.pooling_points)
+        d = h.distances((5.0, mean[1]))
+        manual = np.abs((h.pooling_points[:, 1] - mean[1]) / std[1])
         np.testing.assert_allclose(d, manual)
         # np.std of a constant column is rounding noise that grows with the
         # constant: exactly 0 at 3.3, about 1e-9 at 1e6 + 0.1.
@@ -251,23 +261,23 @@ class TestStandardization:
         for constant in (3.3, 1e6 + 0.1):
             points = np.column_stack([np.full(100, constant), 0.01 * t])
             h = History.from_arrays(t, points, np.zeros(100), np.full((100, 1), -1.0))
-            assert h.standardizing_std[0] == 1.0
+            assert h.standardize((constant + 0.5, 0.0))[0] == pytest.approx(0.5)
             assert h.caliper_neighbors((constant + 0.5, 0.5), 1.0).size == 49
 
     def test_stats_refresh_after_growth(self):
         h = History(1, 1)
         h.append(_record(0, (0.0,), (0.0,)))
         h.append(_record(1, (2.0,), (0.0,)))
-        assert h.standardizing_mean[0] == 1.0
+        assert h.standardize((1.0,))[0] == 0.0
         h.append(_record(2, (10.0,), (0.0,)))
-        assert h.standardizing_mean[0] == 4.0
+        assert h.standardize((4.0,))[0] == 0.0
 
 
 class TestCaliper:
     def test_distances_match_manual_loop(self):
         h = _filled_history()
         q = (0.5, -0.5)
-        mu, sd = h.standardizing_mean, h.standardizing_std
+        mu, sd = standardizing_moments(h.pooling_points)
         manual = [
             np.sqrt(np.sum(((p - mu) / sd - (np.asarray(q) - mu) / sd) ** 2))
             for p in h.pooling_points
@@ -392,8 +402,8 @@ def test_from_arrays_matches_appending_row_by_row(block, width):
         (whole.pooling_points, grown.pooling_points),
         (whole.outcomes, grown.outcomes),
         (whole.score_matrix, grown.score_matrix),
-        (whole.standardizing_mean, grown.standardizing_mean),
-        (whole.standardizing_std, grown.standardizing_std),
+        (whole.standardize(query), grown.standardize(query)),
+        (whole.standardize(query + 1.0), grown.standardize(query + 1.0)),
         (whole.distances(query), grown.distances(query)),
     ]
     pairs += [

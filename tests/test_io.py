@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localpools.evaluation import EvaluationConfig, EvaluationStream, rolling_evaluate
 from localpools.io import (
@@ -154,6 +156,57 @@ class TestScoreCsvErrors:
             self.GOOD_HEADER + "5,1.5,0.1,0.2,-1.0,-2.0\n" + self.GOOD_ROW,
             "sorted by t",
         )
+
+    def test_any_cell_float_reads_is_a_number(self, tmp_path):
+        stream = load_score_csv(_write(tmp_path, "t,y,z_1,lp_a,lp_b\n1e1,1_0, 0.5 ,-Infinity,-2\n"))
+        assert stream.time_indices.tolist() == [10]
+        assert (stream.outcomes[0], stream.pooling_points[0, 0]) == (10.0, 0.5)
+        assert stream.log_scores.tolist() == [[-math.inf, -2.0]]
+
+
+_ODD_CELLS = (
+    "1e20", "9223372036854775808", "nan", "inf", "-inf", "-Infinity", "1e308", "-1e308",
+    "1_0", " 0.5 ",
+)
+_CELL = st.one_of(
+    st.floats(min_value=-100, max_value=100).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(_ODD_CELLS),
+)
+
+
+@st.composite
+def _score_csv_text(draw):
+    """Score-CSV text under a valid header: increasing integer times with
+    odd cells mixed in, so many files load and many are refused."""
+    d, k, n = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    header = ["t", "y", *(f"z_{j + 1}" for j in range(d)), *(f"lp_{j}" for j in range(k))]
+    lines = [",".join(header)]
+    time = draw(st.integers(-3, 3))
+    for _ in range(n):
+        time += draw(st.integers(1, 3))
+        t = draw(st.one_of(st.just(str(time)), _CELL))
+        rest = draw(st.lists(_CELL, min_size=1 + d + k, max_size=1 + d + k))
+        lines.append(",".join([t, *rest]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(_score_csv_text())
+@settings(max_examples=300, deadline=None)
+def test_the_loader_returns_a_stream_or_a_score_csv_error(fuzz_dir, text):
+    """No cell text crashes the loader; whatever it accepts round-trips."""
+    try:
+        stream = load_score_csv(_write(fuzz_dir, text))
+    except ScoreCsvError:
+        return
+    first = write_score_csv(fuzz_dir / "a.csv", stream)
+    second = write_score_csv(fuzz_dir / "b.csv", load_score_csv(first))
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.fixture(scope="module")

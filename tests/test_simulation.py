@@ -147,7 +147,6 @@ class TestErrorStudy:
     def test_summaries(self, study):
         assert study.mean_errors().shape == (3, 2)
         assert study.sd_errors().shape == (3, 2)
-        assert study.t_statistics().shape == (3, 2)
         np.testing.assert_allclose(
             study.mean_errors(), study.errors.mean(axis=0), atol=1e-15
         )
