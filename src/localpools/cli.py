@@ -16,7 +16,6 @@ file (``--config``, INI syntax), overridden by explicit flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -36,12 +35,15 @@ from .io import (
     ScoreCsvError,
     emit_results,
     format_real,
+    json_text,
     load_score_csv,
     parse_scaling_grid,
     parse_scaling_token,
     parse_width_grid,
     read_config_file,
+    write_csv,
     write_error_study_csv,
+    write_json,
     write_polarization_csv,
     write_pool_study_csv,
     write_score_csv,
@@ -247,7 +249,7 @@ def _cmd_simulate(args, settings: _Settings) -> int:
         "query_points": [list(p) for p in points],
         "files": files,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "manifest.json", manifest)
     print(f"wrote {out}/manifest.json")
     return 0
 
@@ -314,28 +316,20 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = rolling_evaluate(stream, config)
     reported = np.arange(len(result.history)) >= config.history_size
-    live = result.live_rows
-
-    import csv as _csv
-
-    path = out / "gridsearch.csv"
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["family", "cell", "shadow_total_all", "shadow_total_reported"]
-        )
-        for family, labels in result.candidate_labels.items():
-            table = result.candidate_log_scores[family]
-            # Shadow scores near 1e308 sum to +inf, as rolling_evaluate's totals do.
-            with np.errstate(over="ignore"):
-                total_all = table[live].sum(axis=0)
-                total_rep = table[live & reported].sum(axis=0)
-            for j, label in enumerate(labels):
-                writer.writerow(
-                    [family, label, format_real(total_all[j]), format_real(total_rep[j])]
-                )
-            best = int(np.argmax(total_all))
-            print(f"{family}: best cell by shadow total is {labels[best]}")
+    live = result.history.live_rows
+    rows = []
+    for family, labels in result.candidate_labels.items():
+        table = result.candidate_log_scores[family]
+        # Shadow scores near 1e308 sum to +inf, as rolling_evaluate's totals do.
+        with np.errstate(over="ignore"):
+            total_all = table[live].sum(axis=0)
+            total_rep = table[live & reported].sum(axis=0)
+        for j, label in enumerate(labels):
+            rows.append([family, label, format_real(total_all[j]), format_real(total_rep[j])])
+        best = int(np.argmax(total_all))
+        print(f"{family}: best cell by shadow total is {labels[best]}")
+    header = ["family", "cell", "shadow_total_all", "shadow_total_reported"]
+    path = write_csv(out / "gridsearch.csv", header, rows)
     manifest = {
         "command": "gridsearch",
         "config": {
@@ -347,7 +341,7 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
         "source": source,
         "files": {"gridsearch": path.name},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "manifest.json", manifest)
     print(f"wrote {path}")
     return 0
 
@@ -376,12 +370,11 @@ def _cmd_pool_once(args, settings: _Settings) -> int:
             for scheme, entry in SCHEMES.items()
         },
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        write_json(args.out, payload)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(payload))
     return 0
 
 

@@ -225,7 +225,7 @@ class EvaluationResult:
     step can be re-derived by summing rows strictly before it.  Rows of
     steps on which every expert scored ``-inf`` are kept in the ledger
     (every cell scores ``-inf`` there) but left out of those sums;
-    ``live_rows`` marks the rows that count.
+    ``history.live_rows`` marks the rows that count.
     """
 
     config: EvaluationConfig
@@ -257,23 +257,6 @@ class EvaluationResult:
             scheme: float(sum(scores.tolist()))
             for scheme, scores in self.pooled_log_scores.items()
         }
-
-    def cumulative(self) -> dict[str, np.ndarray]:
-        """Per-scheme running sums of the reported pooled log scores."""
-        return {
-            scheme: np.cumsum(scores)
-            for scheme, scores in self.pooled_log_scores.items()
-        }
-
-    @property
-    def live_rows(self) -> np.ndarray:
-        """Mask of the ledger rows that count toward the shadow totals.
-
-        These are the history's live rows: a dead row scores -inf in every
-        cell, so it cannot rank cells, and summed in it would tie every
-        total at -inf.
-        """
-        return self.history.live_rows
 
 
 def select_hyperparameters(candidate_cumulative) -> int:

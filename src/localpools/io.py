@@ -1,5 +1,12 @@
 """Reading and writing the on-disk artefacts: score CSVs, results, configs.
 
+Every file the package writes goes through one of two writers:
+``write_csv`` (a header and rows, LF line ends, minimal quoting) and
+``write_json`` (two-space indent, sorted keys, a final newline, the text
+of ``json_text``).  Both write UTF-8 whatever the locale, and the
+score-CSV loader and the config reader read UTF-8, so an artefact's bytes
+do not depend on the locale it was written under.
+
 The score CSV is the neutral interchange format for externally produced
 experts: one row per time step with header ``t, y, z_1..z_d,
 lp_<name1>..lp_<nameK>``.  Reals are serialised with 17 significant
@@ -19,6 +26,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +39,9 @@ from .simulation import ErrorStudyResult, PoolStudyResult
 
 __all__ = [
     "ScoreCsvError",
+    "write_csv",
+    "write_json",
+    "json_text",
     "load_score_csv",
     "write_score_csv",
     "emit_results",
@@ -54,6 +65,29 @@ class ScoreCsvError(ValueError):
 def format_real(value: float) -> str:
     """17-significant-digit decimal text; lossless for double precision."""
     return f"{float(value):.17g}"
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` then each row of ``rows`` (lists of cell text) as UTF-8 CSV."""
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def json_text(payload) -> str:
+    """The JSON layout of every artefact: indent 2, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, payload) -> Path:
+    """Write ``json_text(payload)`` as UTF-8."""
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(json_text(payload))
+    return path
 
 
 # -- score CSV ----------------------------------------------------------
@@ -91,8 +125,17 @@ def load_score_csv(path) -> EvaluationStream:
     a refusal names the record's line and column.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    # Decoded whole, so a byte that is not UTF-8 can be traced to its line.
+    raw = path.read_bytes()
+    try:
+        content = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ScoreCsvError(
+            f"{path}: line {line_no}: not UTF-8 text: byte 0x{raw[exc.start]:02x}"
+        ) from None
+    reader = csv.reader(StringIO(content, newline=""))
+    try:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -111,6 +154,9 @@ def load_score_csv(path) -> EvaluationStream:
                     raise ScoreCsvError(
                         f"{path}: line {line_no}, column {column!r}: not a number: {text!r}"
                     ) from None
+    except csv.Error as exc:
+        # Raised, for one, by a cell longer than the csv module's field limit.
+        raise ScoreCsvError(f"{path}: line {reader.line_num}: {exc}") from None
     if not cells:
         raise ScoreCsvError(f"{path}: no data rows")
     table = np.array(cells).reshape(-1, len(header))
@@ -130,23 +176,19 @@ def load_score_csv(path) -> EvaluationStream:
 
 def write_score_csv(path, stream: EvaluationStream) -> Path:
     """Write a stream in the exact format ``load_score_csv`` accepts."""
-    path = Path(path)
     d = stream.n_pooling_dims
     header = (
         ["t", "y"]
         + [f"z_{j + 1}" for j in range(d)]
         + [f"lp_{name}" for name in stream.expert_names]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(stream.n_steps):
-            writer.writerow(
-                [str(int(stream.time_indices[i])), format_real(stream.outcomes[i])]
-                + [format_real(v) for v in stream.pooling_points[i]]
-                + [format_real(v) for v in stream.log_scores[i]]
-            )
-    return path
+    rows = (
+        [str(int(stream.time_indices[i])), format_real(stream.outcomes[i])]
+        + [format_real(v) for v in stream.pooling_points[i]]
+        + [format_real(v) for v in stream.log_scores[i]]
+        for i in range(stream.n_steps)
+    )
+    return write_csv(path, header, rows)
 
 
 # -- evaluation results --------------------------------------------------
@@ -186,10 +228,7 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
     header += [f"width_{s}" for s in width_schemes]
     header += [f"scaling_{s}" for s in scaling_schemes]
 
-    steps_path = out / "steps.csv"
-    with open(steps_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    def step_rows():
         for i, t in enumerate(times):
             row = [str(t), format_real(outcomes[i])]
             row += [format_real(v) for v in points[i]]
@@ -199,9 +238,9 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
                 row += [format_real(v) for v in result.weights[s][i]]
             row += [format_real(chosen[s][i][0]) for s in width_schemes]
             row += [chosen[s][i][1].label() for s in scaling_schemes]
-            writer.writerow(row)
+            yield row
 
-    summary_path = out / "summary.json"
+    steps_path = write_csv(out / "steps.csv", header, step_rows())
     summary = {
         "total_log_score": result.totals(),
         "n_reported_steps": len(times),
@@ -210,9 +249,7 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
         "schemes": list(schemes),
         "expert_names": list(names),
     }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-    manifest_path = out / "manifest.json"
+    summary_path = write_json(out / "summary.json", summary)
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "package": {"name": "localpools", "version": __version__},
@@ -227,7 +264,7 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
         "metadata": dict(metadata or {}),
         "files": {"steps": steps_path.name, "summary": summary_path.name},
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path = write_json(out / "manifest.json", manifest)
     return {"steps": steps_path, "summary": summary_path, "manifest": manifest_path}
 
 
@@ -236,60 +273,49 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
 
 def write_error_study_csv(path, result: ErrorStudyResult) -> Path:
     """Tidy rows: one per (replication, width, expert)."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["replication", "width", "expert", "error", "neighbor_count", "true_elpd"]
-        )
-        for r in range(result.errors.shape[0]):
-            for w, width in enumerate(result.width_grid):
-                for k, name in enumerate(result.expert_names):
-                    writer.writerow(
-                        [
-                            str(r),
-                            format_real(width),
-                            name,
-                            format_real(result.errors[r, w, k]),
-                            str(int(result.neighbor_counts[r, w])),
-                            format_real(result.true_elpd[r, k]),
-                        ]
-                    )
-    return path
+    rows = (
+        [
+            str(r),
+            format_real(width),
+            name,
+            format_real(result.errors[r, w, k]),
+            str(int(result.neighbor_counts[r, w])),
+            format_real(result.true_elpd[r, k]),
+        ]
+        for r in range(result.errors.shape[0])
+        for w, width in enumerate(result.width_grid)
+        for k, name in enumerate(result.expert_names)
+    )
+    header = ["replication", "width", "expert", "error", "neighbor_count", "true_elpd"]
+    return write_csv(path, header, rows)
 
 
 def write_pool_study_csv(path, result: PoolStudyResult) -> Path:
     """Tidy rows: one per (replication, query point, scheme, width)."""
-    path = Path(path)
     d = result.query_points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["replication", "scheme", "width"]
-            + [f"z_{j + 1}" for j in range(d)]
-            + ["expected_log_score"]
-        )
-        for r in range(result.scores.shape[0]):
-            for m in range(result.query_points.shape[0]):
-                for s, scheme in enumerate(result.schemes):
-                    for w, width in enumerate(result.width_grid):
-                        writer.writerow(
-                            [str(r), scheme, format_real(width)]
-                            + [format_real(v) for v in result.query_points[m]]
-                            + [format_real(result.scores[r, m, s, w])]
-                        )
-    return path
+    header = (
+        ["replication", "scheme", "width"]
+        + [f"z_{j + 1}" for j in range(d)]
+        + ["expected_log_score"]
+    )
+    rows = (
+        [str(r), scheme, format_real(width)]
+        + [format_real(v) for v in result.query_points[m]]
+        + [format_real(result.scores[r, m, s, w])]
+        for r in range(result.scores.shape[0])
+        for m in range(result.query_points.shape[0])
+        for s, scheme in enumerate(result.schemes)
+        for w, width in enumerate(result.width_grid)
+    )
+    return write_csv(path, header, rows)
 
 
 def write_polarization_csv(path, result: PoolStudyResult) -> Path:
     """All-data natural-softmax max weight, one row per replication."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replication", "max_weight"])
-        for r, value in enumerate(result.full_data_max_weight):
-            writer.writerow([str(r), format_real(value)])
-    return path
+    rows = (
+        [str(r), format_real(value)] for r, value in enumerate(result.full_data_max_weight)
+    )
+    return write_csv(path, ["replication", "max_weight"], rows)
 
 
 # -- configuration -------------------------------------------------------
@@ -298,7 +324,7 @@ def write_polarization_csv(path, result: PoolStudyResult) -> Path:
 def read_config_file(path) -> dict[str, dict[str, str]]:
     """Flat sectioned key-value config (INI syntax) as nested dicts."""
     parser = configparser.ConfigParser()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     return {section: dict(parser.items(section)) for section in parser.sections()}
 

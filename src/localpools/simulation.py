@@ -282,18 +282,6 @@ class PoolStudyResult:
     def mean_scores(self) -> np.ndarray:
         return self.scores.mean(axis=0)
 
-    def paired_comparison(self, scheme_a: str, scheme_b: str):
-        """Replication-paired contrast a − b: (mean, SE, z) per (point, width)."""
-        ia = self.schemes.index(scheme_a)
-        ib = self.schemes.index(scheme_b)
-        diff = self.scores[:, :, ia, :] - self.scores[:, :, ib, :]
-        r = diff.shape[0]
-        mean = diff.mean(axis=0)
-        se = diff.std(axis=0, ddof=1) / math.sqrt(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zstat = np.where(se > 0, mean / se, 0.0)
-        return mean, se, zstat
-
 
 def pool_comparison_study(
     query_points=DEFAULT_QUERY_POINTS,

@@ -6,7 +6,8 @@ Gauss-Hermite, posterior sampling and marginal-likelihood ratios instead
 of the closed-form predictive, a pencil-and-paper law of the score gap
 instead of running the softmax, and the caliper method one record and
 one cell at a time instead of ``History`` and ``PoolQuery``.  Slow and
-dumb on purpose.
+dumb on purpose.  ``paired_contrast`` is the replication-paired statistic
+the checklist judges pool studies by; the package itself has no use for it.
 """
 
 from __future__ import annotations
@@ -142,6 +143,19 @@ def softmax_polarization_rate(config, n_history: int, threshold: float = 0.99) -
     sd_sum = math.sqrt(n_history * score_gap_variance(config))
     bar = math.log(threshold / (1.0 - threshold))
     return float(2.0 * norm.cdf(-bar / sd_sum))
+
+
+def paired_contrast(study, scheme_a: str, scheme_b: str):
+    """Replication-paired contrast a − b of a ``PoolStudyResult``:
+    (mean, SE, z) per (query point, width), with z = 0 where SE is 0."""
+    ia = study.schemes.index(scheme_a)
+    ib = study.schemes.index(scheme_b)
+    diff = study.scores[:, :, ia, :] - study.scores[:, :, ib, :]
+    mean = diff.mean(axis=0)
+    se = diff.std(axis=0, ddof=1) / math.sqrt(diff.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zstat = np.where(se > 0, mean / se, 0.0)
+    return mean, se, zstat
 
 
 def nig_predictive_logpdf_by_evidence_ratio(

@@ -60,6 +60,7 @@ from localpools.simulation import (
     pool_comparison_study,
 )
 from oracles import (
+    paired_contrast,
     pooled_objective,
     refined_grid_best,
     sample_nig_predictive,
@@ -342,8 +343,8 @@ def test_criterion_07_local_pool_beats_benchmarks_off_center(full_pool_study):
     study = full_pool_study
     assert np.array_equal(study.query_points[0], (2.0, 0.0))
 
-    mean_eq, _, z_eq = study.paired_comparison("local_softmax", "equal")
-    mean_gl, _, z_gl = study.paired_comparison("local_softmax", "global_opt")
+    mean_eq, _, z_eq = paired_contrast(study, "local_softmax", "equal")
+    mean_gl, _, z_gl = paired_contrast(study, "local_softmax", "global_opt")
     both_clear = np.minimum(z_eq[0], z_gl[0])
     print(
         f"\n  z=(2,0) paired z by width {DEFAULT_POOL_WIDTHS}:"
@@ -358,7 +359,7 @@ def test_criterion_07_local_pool_beats_benchmarks_off_center(full_pool_study):
     worst = 0.0
     for a, b in (("local_softmax", "equal"), ("local_softmax", "global_opt"),
                  ("equal", "global_opt")):
-        mean_d, se_d, _ = study.paired_comparison(a, b)
+        mean_d, se_d, _ = paired_contrast(study, a, b)
         upper = np.abs(mean_d[1]) + 3.0 * se_d[1]
         worst = max(worst, float(np.max(upper)))
         print(f"  z=(0,0) |mean|+3se for {a} vs {b}: {np.round(upper, 5)} nats")
@@ -478,7 +479,7 @@ def test_criterion_09_protocol_integrity(tmp_path):
     # emitted artifacts agree with in-memory results
     paths = emit_results(result, tmp_path)
     summary = json.loads(paths["summary"].read_text())
-    final_cumulative = {s: arr[-1] for s, arr in result.cumulative().items()}
+    final_cumulative = {s: np.cumsum(arr)[-1] for s, arr in result.pooled_log_scores.items()}
     for scheme, value in summary["total_log_score"].items():
         assert value == pytest.approx(final_cumulative[scheme], abs=1e-9)
 

@@ -131,7 +131,7 @@ def test_gridsearch_leaves_dead_rows_out_of_the_totals(tmp_path, capsys):
     live = np.any(stream.log_scores[50:] > -np.inf, axis=1)
     reported = result.history.time_indices >= 100
     assert live.sum() == live.size - 1
-    np.testing.assert_array_equal(result.live_rows, live)
+    np.testing.assert_array_equal(result.history.live_rows, live)
     for family, labels in result.candidate_labels.items():
         table = result.candidate_log_scores[family]
         written = [row for row in rows if row["family"] == family]
@@ -215,6 +215,45 @@ assert "scipy.special" in sys.modules
     )
 
 
+_NON_ASCII_RUN = """
+import sys
+import numpy as np
+from localpools.cli import main
+from localpools.evaluation import EvaluationStream
+from localpools.io import load_score_csv, write_score_csv
+assert sys.flags.utf8_mode == {utf8}
+rng = np.random.default_rng(0)
+names = ("caf\\u00e9", "beta")
+stream = EvaluationStream(
+    rng.normal(size=(40, 2)), rng.normal(size=40), rng.normal(-1.5, 1.0, size=(40, 2)), names
+)
+write_score_csv("scores.csv", stream)
+assert load_score_csv("scores.csv").expert_names == names
+flags = ["--scores", "scores.csv", "--warmup", "5", "--history", "10"]
+assert main(["evaluate", *flags, "--out", "ev"]) == 0
+"""
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    """An expert named café goes through write, load and evaluate under the
+    C locale with UTF-8 mode off, and every file equals the bytes written
+    in UTF-8 mode."""
+    src = str(Path(localpools.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    for utf8 in (0, 1):
+        cwd = tmp_path / f"utf8_{utf8}"
+        cwd.mkdir()
+        code = _NON_ASCII_RUN.format(utf8=utf8)
+        argv = [sys.executable, "-X", f"utf8={utf8}", "-c", code]
+        subprocess.run(argv, cwd=cwd, env=env, check=True, timeout=60)
+    files = ["scores.csv", "ev/steps.csv", "ev/summary.json", "ev/manifest.json"]
+    for name in files:
+        assert (tmp_path / "utf8_0" / name).read_bytes() == (tmp_path / "utf8_1" / name).read_bytes()
+    header = (tmp_path / "utf8_0" / "scores.csv").read_bytes().splitlines()[0]
+    assert header == "t,y,z_1,z_2,lp_café,lp_beta".encode("utf-8")
+
+
 def test_pool_once_to_file(tmp_path):
     scores = _score_csv(tmp_path)
     out = tmp_path / "pool.json"
@@ -262,13 +301,18 @@ def test_pool_once_to_file(tmp_path):
         )
 
 
-def test_pool_once_to_stdout(tmp_path, capsys):
+def test_pool_once_to_stdout(tmp_path, capsysbinary):
+    """Without ``--out``, pool-once prints exactly the bytes ``--out`` writes."""
     scores = _score_csv(tmp_path)
-    rc = main(["pool-once", "--scores", str(scores), "--point", "0,0"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    argv = ["pool-once", "--scores", str(scores), "--point", "0,0"]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    payload = json.loads(printed)
     assert set(payload["local_estimates"]) == {"alpha", "beta"}
     assert payload["scaling"] == "natural"
+    out = tmp_path / "once.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert printed == out.read_bytes()
 
 
 def test_simulate_error_study(tmp_path, capsys):
@@ -444,6 +488,24 @@ def test_bad_scheme_exits_nonzero(tmp_path, capsys):
     rc = main(["evaluate", *EVAL_ARGS, "--schemes", "bogus", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        # A cell longer than the csv module's field limit of 131,072 characters.
+        (b"0,1.0,0.5,-1\n1,1.0,0.5," + b"1" * 200_000 + b"\n", 3),
+        (b"0,1.0,0.5,-1\n1,1.0,0.5,-1\xff\n", 3),
+    ],
+    ids=["field-limit", "not-utf8"],
+)
+def test_an_unreadable_csv_is_an_error_line_naming_the_file(tmp_path, capsys, body, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,y,z_1,lp_a\n" + body)
+    rc = main(["evaluate", "--scores", str(bad), "--warmup", "0", "--history", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {line}") and "Traceback" not in err
 
 
 def test_malformed_csv_exits_nonzero(tmp_path, capsys):

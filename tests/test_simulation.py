@@ -25,7 +25,7 @@ from localpools.simulation import (
     nig_evaluation_stream,
     pool_comparison_study,
 )
-from oracles import score_gap_variance, softmax_polarization_rate
+from oracles import paired_contrast, score_gap_variance, softmax_polarization_rate
 
 FAST = DgpConfig(sample_size=200, seed=3)
 
@@ -190,10 +190,10 @@ class TestPoolStudy:
         assert np.all(w <= 1.0)
 
     def test_paired_comparison(self, study):
-        mean, se, z = study.paired_comparison("local_softmax", "equal")
+        mean, se, z = paired_contrast(study, "local_softmax", "equal")
         assert mean.shape == (2, 2) and se.shape == (2, 2) and z.shape == (2, 2)
         assert np.all(se > 0)
-        same, _, zsame = study.paired_comparison("equal", "equal")
+        same, _, zsame = paired_contrast(study, "equal", "equal")
         np.testing.assert_array_equal(same, np.zeros((2, 2)))
         np.testing.assert_array_equal(zsame, np.zeros((2, 2)))
 
