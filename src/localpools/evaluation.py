@@ -1,10 +1,10 @@
 """Rolling one-step-ahead evaluation of pooling schemes.
 
-The harness walks a scored prediction stream in time order and, at every
-step, builds each scheme's weights from the history *strictly before*
-that step, scores the pooled prediction against the realised outcome,
-and only then lets the step join the history.  Nothing at time >= t ever
-influences the weights used at t.
+The harness walks a scored prediction stream in time order, finds each
+step's calipers and fits on the history *strictly before* that step, and
+only then lets the step join the history; a batched pass then pools and
+selects over blocks of steps.  Nothing at time >= t ever influences the
+weights used at t.
 
 The stream is split into three consecutive batches:
 
@@ -24,10 +24,9 @@ entry).  The reported weights and score are that cell's shadow entry for
 the step.  Each shadow pool keeps its own frozen trajectory; past shadow
 scores are never revised.
 
-All cells of a step come from one pass: one ``PoolQuery`` shares the
-caliper distances and the optimizer fits among the schemes, every cell
-is checked on the simplex at once, and one log-sum-exp pools them all
-against the step's expert scores.
+One ``PoolQuery`` per step shares the caliper distances and the
+optimizer fits among the schemes.  The cells of a block of steps are
+checked on the simplex and pooled at once, bitwise as one step at a time.
 
 Inputs are checked once, where they enter: a stream's records by
 ``history.check_records``, a config's widths by ``history.check_widths``
@@ -44,24 +43,13 @@ import numpy as np
 
 from .densities import check_simplex_rows, pooled_rows
 from .history import History, PredictionRecord, check_records, check_widths
-from .pools import NATURAL, FixedScaling, PoolQuery
+from .pools import NATURAL, FixedScaling, PoolQuery, softmax_grid
 
 __all__ = [
-    "SCHEME_LOCAL_SOFTMAX",
-    "SCHEME_EQUAL",
-    "SCHEME_GLOBAL_OPT",
-    "SCHEME_LOCAL_OPT",
-    "Scheme",
-    "SCHEMES",
-    "ALL_SCHEMES",
-    "DEFAULT_WIDTH_GRID",
-    "DEFAULT_SCALING_GRID",
-    "EvaluationConfig",
-    "EvaluationStream",
-    "check_schemes",
-    "EvaluationResult",
-    "rolling_evaluate",
-    "select_hyperparameters",
+    "SCHEME_LOCAL_SOFTMAX", "SCHEME_EQUAL", "SCHEME_GLOBAL_OPT", "SCHEME_LOCAL_OPT",
+    "Scheme", "SCHEMES", "ALL_SCHEMES", "DEFAULT_WIDTH_GRID", "DEFAULT_SCALING_GRID",
+    "EvaluationConfig", "EvaluationStream", "check_schemes", "EvaluationResult",
+    "rolling_evaluate", "select_hyperparameters",
 ]
 
 SCHEME_LOCAL_SOFTMAX = "local_softmax"
@@ -299,86 +287,96 @@ def _pool_cells(cells: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return pooled_rows(cells, scores)
 
 
+# Scored steps per batched pass: enough to amortise each numpy call, few
+# enough that a block's softmax cells and their list copy stay small.
+_BLOCK_STEPS = 128
+
+
 def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> EvaluationResult:
     """Run the three-batch rolling protocol over a scored stream.
+
+    The walk keeps only the work that needs the history before each step:
+    the calipers (neighbour counts and means, for the softmax) and the
+    fits (``local_opt`` at every scored step, ``global_opt`` at reported
+    ones).  The pass takes blocks of up to ``_BLOCK_STEPS`` steps, none
+    straddling the first reported one: one ``softmax_grid`` call, one
+    ``_pool_cells`` call per scheme, then selection from running totals
+    carried across blocks.  Weights at step t still come only from rows
+    before t, and every value is bitwise that of one step at a time.
 
     Requires ``warmup_size + history_size < len(stream)`` so that at
     least one step is reported.  Returns the per-scheme reported arrays
     together with the final history and the full shadow-pool score ledger.
     """
-    T = stream.n_steps
-    if config.warmup_size + config.history_size >= T:
+    T, k, w, first = stream.n_steps, stream.n_experts, config.warmup_size, config.history_size
+    if w + first >= T:
         raise ValueError(
-            f"stream has {T} steps; warmup {config.warmup_size} + history "
-            f"{config.history_size} leaves nothing to evaluate"
+            f"stream has {T} steps; warmup {w} + history {first} leaves nothing to evaluate"
         )
-    history = History(stream.n_pooling_dims, stream.n_experts)
+    history = History(stream.n_pooling_dims, k)
     schemes = config.schemes
-    n_scored = T - config.warmup_size
-    n_reported = n_scored - config.history_size
+    n_scored = T - w
+    n_reported = n_scored - first
+    times, points = stream.time_indices[w:], stream.pooling_points[w:]
+    outcomes, scores = stream.outcomes[w:], stream.log_scores[w:]
 
-    # One shadow pool per grid cell, per scheme that takes hyperparameters.
-    # Cells are laid out width-major / scaling-minor, matching the declared
-    # tie-break order.
+    # One shadow pool per grid cell, per scheme that takes hyperparameters,
+    # scored from the first scored step on so that selection has something
+    # to go on when reporting starts.  Cells are laid out width-major /
+    # scaling-minor, matching the declared tie-break order.
     cells = {scheme: _grid_cells(scheme, config) for scheme in schemes}
-    ledger = {
-        scheme: np.empty((n_scored, len(cells[scheme])))
-        for scheme in schemes
-        if SCHEMES[scheme].axes
-    }
-    cand_cum = {name: np.zeros(table.shape[1]) for name, table in ledger.items()}
-    weights = {scheme: np.empty((n_reported, stream.n_experts)) for scheme in schemes}
+    ledger = {s: np.empty((n_scored, len(cells[s]))) for s in schemes if SCHEMES[s].axes}
+    softmax = SCHEME_LOCAL_SOFTMAX in schemes
+    counts = np.zeros((n_scored, len(config.width_grid)), dtype=int)
+    means = np.zeros((n_scored, len(config.width_grid), k))
+    fitted = {s: np.empty((n_scored, len(cells[s]), k)) for s in schemes if s != SCHEME_LOCAL_SOFTMAX}
+    weights = {scheme: np.empty((n_reported, k)) for scheme in schemes}
     pooled = {scheme: np.empty(n_reported) for scheme in schemes}
     chosen = {scheme: np.zeros(n_reported, dtype=int) for scheme in schemes}
 
     # Shadow totals of scores near 1e308 overflow to +inf, which selection
     # compares as any other total; one errstate for the whole run.
     with np.errstate(over="ignore"):
-        for row, t in enumerate(range(config.warmup_size, T)):
-            z = stream.pooling_points[t]
-            expert_row = stream.log_scores[t]
-            report = row - config.history_size
+        for row in range(n_scored):
+            query = PoolQuery(history, points[row], config.width_grid, config.scaling_grid)
+            if softmax:
+                neighbors, means[row] = query.calipers
+                counts[row] = [idx.size for idx in neighbors]
+            for scheme, grid in fitted.items():
+                if row >= first or scheme in ledger:
+                    grid[row] = SCHEMES[scheme].grid(query)
+            history.append(PredictionRecord(times[row], points[row], outcomes[row], scores[row]))
 
-            # Shadow pools are scored at every non-warmup step, including the
-            # history batch, so selection has something to go on when
-            # reporting starts.  Scored strictly before the record lands.  All
-            # cells of the step share one query, one check and one pooling pass.
-            query = PoolQuery(history, z, config.width_grid, config.scaling_grid)
-            grids = {
-                scheme: SCHEMES[scheme].grid(query)
-                for scheme in schemes
-                if report >= 0 or scheme in ledger
-            }
-            shadow = {}
-            if grids:
-                scores = _pool_cells(np.concatenate(list(grids.values())), expert_row)
-                ends = np.cumsum([len(grid) for grid in grids.values()])
-                shadow = dict(zip(grids, np.split(scores, ends[:-1])))
-            for name, table in ledger.items():
-                table[row] = shadow[name]
-
-            if report >= 0:
-                for scheme, grid in grids.items():
-                    pick = 0
-                    if scheme in ledger:
-                        # Selection sees the cumulative totals before this step's row.
-                        pick = select_hyperparameters(cand_cum[scheme])
-                    weights[scheme][report] = grid[pick]
-                    pooled[scheme][report] = shadow[scheme][pick]
-                    chosen[scheme][report] = pick
-
-            history.append(
-                PredictionRecord(
-                    time_index=stream.time_indices[t],
-                    pooling_point=z,
-                    outcome=stream.outcomes[t],
-                    log_scores=expert_row,
+        # Step ``row`` is history row ``row`` now.
+        live = history.live_rows
+        totals = {name: np.zeros((1, table.shape[1])) for name, table in ledger.items()}
+        bounds = [*range(0, first, _BLOCK_STEPS), *range(first, n_scored, _BLOCK_STEPS), n_scored]
+        for start, stop in zip(bounds, bounds[1:]):
+            reporting = start >= first
+            grids = {s: grid[start:stop] for s, grid in fitted.items() if reporting or s in ledger}
+            if softmax:
+                flat = softmax_grid(
+                    counts[start:stop].ravel(), means[start:stop].reshape(-1, k), config.scaling_grid
                 )
-            )
-            # The step's row is history row ``row`` now; only live rows count.
-            if history.live_rows[row]:
-                for name, table in ledger.items():
-                    cand_cum[name] = cand_cum[name] + table[row]
+                grids[SCHEME_LOCAL_SOFTMAX] = flat.reshape(stop - start, -1, k)
+            for scheme, grid in grids.items():
+                shadow = _pool_cells(grid, scores[start:stop, None, :])
+                picks = np.zeros(stop - start, dtype=int)
+                if scheme in ledger:
+                    ledger[scheme][start:stop] = shadow
+                    # A dead row adds 0.0, and a total is never -0.0, so each
+                    # sum is bitwise ``total + row`` over the live rows.
+                    rows = np.where(live[start:stop, None], shadow, 0.0)
+                    sums = np.cumsum(np.concatenate([totals[scheme], rows]), axis=0)
+                    totals[scheme] = sums[-1:]
+                    if reporting:
+                        # Selection sees the totals before each step's row.
+                        picks[:] = [select_hyperparameters(total) for total in sums[:-1]]
+                if reporting:
+                    steps, out = np.arange(stop - start), slice(start - first, stop - first)
+                    weights[scheme][out] = grid[steps, picks]
+                    pooled[scheme][out] = shadow[steps, picks]
+                    chosen[scheme][out] = picks
 
     for arrays in (weights, pooled, chosen, ledger):
         for array in arrays.values():

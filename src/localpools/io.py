@@ -116,6 +116,17 @@ def _parse_header(header: list[str], path: str) -> tuple[int, tuple[str, ...]]:
     return n_dims, names
 
 
+def _read_utf8(path: Path, error: type[ValueError]) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ``error`` naming its line."""
+    # Decoded whole, so a bad byte can be traced to its line.
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no}: not UTF-8 text: byte 0x{raw[exc.start]:02x}") from None
+
+
 def load_score_csv(path) -> EvaluationStream:
     """Parse a score CSV into an evaluation-ready stream.
 
@@ -125,16 +136,7 @@ def load_score_csv(path) -> EvaluationStream:
     a refusal names the record's line and column.
     """
     path = Path(path)
-    # Decoded whole, so a byte that is not UTF-8 can be traced to its line.
-    raw = path.read_bytes()
-    try:
-        content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise ScoreCsvError(
-            f"{path}: line {line_no}: not UTF-8 text: byte 0x{raw[exc.start]:02x}"
-        ) from None
-    reader = csv.reader(StringIO(content, newline=""))
+    reader = csv.reader(StringIO(_read_utf8(path, ScoreCsvError), newline=""))
     try:
         try:
             header = [h.strip() for h in next(reader)]
@@ -322,11 +324,30 @@ def write_polarization_csv(path, result: PoolStudyResult) -> Path:
 
 
 def read_config_file(path) -> dict[str, dict[str, str]]:
-    """Flat sectioned key-value config (INI syntax) as nested dicts."""
+    """Flat sectioned key-value config (INI syntax) as nested dicts.
+
+    A file that is not UTF-8 text or not INI raises ``ValueError``
+    naming the path, and the line where the parser gives one.
+    """
+    path = Path(path)
     parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
-    return {section: dict(parser.items(section)) for section in parser.sections()}
+    try:
+        # Universal newlines, as reading the file in text mode gives.
+        parser.read_file(StringIO(_read_utf8(path, ValueError), newline=None), source=str(path))
+        return {section: dict(parser.items(section)) for section in parser.sections()}
+    except configparser.Error as exc:
+        line, reason = getattr(exc, "lineno", None), exc.message
+        if isinstance(exc, configparser.MissingSectionHeaderError):
+            reason = "a key before the first [section] header"
+        elif isinstance(exc, configparser.ParsingError):
+            line, text = exc.errors[0]
+            reason = f"not a [section] header or a key = value line: {text}"
+        elif isinstance(exc, configparser.DuplicateOptionError):
+            reason = f"duplicate key {exc.option!r} in section [{exc.section}]"
+        elif isinstance(exc, configparser.DuplicateSectionError):
+            reason = f"duplicate section [{exc.section}]"
+        where = f"line {line}: " if line else ""
+        raise ValueError(f"{path}: {where}{reason}") from None
 
 
 def parse_scaling_token(token: str):

@@ -17,7 +17,9 @@ Three ways to turn expert track records into simplex weights:
 
 ``PoolQuery`` is the one place a pooling point becomes calipers, caliper
 means and cell weights: it builds them for every cell of a width x
-scaling grid at one point in one pass.  The single-cell builders
+scaling grid at one point in one pass.  The evaluation harness keeps a
+query's caliper counts and means and builds the softmax cells of a block
+of steps with one ``softmax_grid`` call.  The single-cell builders
 ``softmax_weights``, ``local_opt_weights`` and
 ``local_elpd.caliper_elpd`` are grids of one.
 """
@@ -504,6 +506,7 @@ def _caliper_means(history: History, neighbors) -> np.ndarray:
     Calipers around one point are nested, so two with the same neighbour
     count hold the same rows and share one average.
     """
+    scores = history.score_matrix
     estimates = np.zeros((len(neighbors), history.n_experts))
     means: dict[int, np.ndarray] = {}
     # Scores of size near 1e308 can sum to an infinite mean; the softmax
@@ -512,6 +515,9 @@ def _caliper_means(history: History, neighbors) -> np.ndarray:
         for row, idx in zip(estimates, neighbors):
             if idx.size:
                 if idx.size not in means:
-                    means[idx.size] = history.score_matrix[idx].mean(axis=0)
+                    # ``mean(axis=0)``'s own sum and division, bitwise, without
+                    # its wrapper; a caliper holding every row needs no gather.
+                    block = scores if idx.size == len(scores) else scores[idx]
+                    means[idx.size] = np.add.reduce(block, axis=0) / idx.size
                 row[:] = means[idx.size]
     return estimates

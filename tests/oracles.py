@@ -8,6 +8,10 @@ instead of running the softmax, and the caliper method one record and
 one cell at a time instead of ``History`` and ``PoolQuery``.  Slow and
 dumb on purpose.  ``paired_contrast`` is the replication-paired statistic
 the checklist judges pool studies by; the package itself has no use for it.
+``stepwise_selection`` keeps the harness's shadow totals one step at a
+time.  It alone calls into the package, for ``select_hyperparameters``:
+what it checks is the batched bookkeeping of the totals, not the rule
+that picks a cell from them.
 """
 
 from __future__ import annotations
@@ -282,3 +286,28 @@ def softmax_cell(estimates, factor: float) -> np.ndarray:
         return np.full(k, 1.0 / k)
     tilts = np.array([1.0 if x == top else float(np.exp(x - top)) for x in scaled])
     return tilts / math.fsum(tilts.tolist())
+
+
+def stepwise_selection(ledger, live, history_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chosen cell and its shadow score at each reported step, one step at a time.
+
+    ``ledger`` is one shadow score per scored step and grid cell, ``live``
+    marks the steps whose row counts, and reporting starts at row
+    ``history_size``.  Each reported step selects on the running total of
+    the live rows before it, ``cand_cum + table[row]`` as the harness
+    kept it before its selection was batched.
+    """
+    from localpools.evaluation import select_hyperparameters
+
+    table = np.asarray(ledger, dtype=float)
+    cand_cum = np.zeros(table.shape[1])
+    picks, scores = [], []
+    with np.errstate(over="ignore"):
+        for row in range(table.shape[0]):
+            if row >= history_size:
+                pick = select_hyperparameters(cand_cum)
+                picks.append(pick)
+                scores.append(table[row, pick])
+            if live[row]:
+                cand_cum = cand_cum + table[row]
+    return np.array(picks, dtype=int), np.array(scores)

@@ -508,6 +508,25 @@ def test_an_unreadable_csv_is_an_error_line_naming_the_file(tmp_path, capsys, bo
     assert err.startswith(f"error: {bad}: line {line}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        (b"[run]\nseed = 7\xff\n", 2),
+        (b"seed = 7\n[run]\n", 1),
+        (b"[run]\nseed = 7\nSeed = 8\n", 3),
+    ],
+    ids=["not-utf8", "no-section-header", "duplicate-key"],
+)
+def test_an_unreadable_config_is_an_error_line_naming_the_file(tmp_path, capsys, body, line):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(body)
+    rc = main(["--config", str(ini), "evaluate", *EVAL_ARGS, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ini}: line {line}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_csv_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,y,z_1,lp_a\n0,1.0,0.5,nan\n")

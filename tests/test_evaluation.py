@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from localpools import evaluation
 from localpools.evaluation import (
     ALL_SCHEMES,
     SCHEME_EQUAL,
     SCHEME_GLOBAL_OPT,
     SCHEME_LOCAL_OPT,
     SCHEME_LOCAL_SOFTMAX,
+    SCHEMES,
     EvaluationConfig,
     EvaluationStream,
     rolling_evaluate,
@@ -21,6 +26,7 @@ from localpools.local_elpd import caliper_elpd
 from localpools.pools import (
     NATURAL,
     FixedScaling,
+    PoolQuery,
     equal_weights,
     local_opt_weights,
     optimize_pool_weights,
@@ -33,6 +39,7 @@ from localpools.simulation import (
     nig_evaluation_stream,
     replication_studies,
 )
+from oracles import stepwise_selection
 
 
 def _synthetic_stream(T=60, k=3, seed=0):
@@ -486,3 +493,111 @@ def _history_from(stream, upto):
         stream.outcomes[:upto],
         stream.log_scores[:upto],
     )
+
+
+def _result_bits(res) -> dict:
+    """Every array of an ``EvaluationResult`` as (shape, dtype, bytes), by name."""
+    arrays = {
+        "times": res.history.time_indices,
+        "points": res.history.pooling_points,
+        "outcomes": res.history.outcomes,
+        "scores": res.history.score_matrix,
+        "live": res.history.live_rows,
+        "reported_times": res.reported_times,
+    }
+    for field in ("weights", "pooled_log_scores", "chosen_cells", "candidate_log_scores"):
+        for scheme, array in getattr(res, field).items():
+            arrays[f"{field}[{scheme}]"] = array
+    return {name: (a.shape, a.dtype.str, a.tobytes()) for name, a in arrays.items()}
+
+
+def test_the_block_length_changes_no_bit(monkeypatch):
+    """Blocks of 1, 3, the default and more than the stream give the same bits.
+
+    The history batch is longer than a default block, so blocks of every
+    length start inside it, and dead rows fall in both batches.
+    """
+    base = _synthetic_stream(T=300, k=3, seed=11)
+    scores = base.log_scores.copy()
+    scores[[40, 150, 151, 290]] = -np.inf
+    scores[60, 1] = -np.inf
+    stream = EvaluationStream(base.pooling_points, base.outcomes, scores, base.expert_names)
+    config = EvaluationConfig(
+        warmup_size=10,
+        history_size=140,
+        width_grid=(0.5, 2.0, math.inf),
+        scaling_grid=(FixedScaling(0.0), FixedScaling(1.0), NATURAL),
+    )
+    assert config.history_size > evaluation._BLOCK_STEPS
+    runs = {}
+    for block in (1, 3, evaluation._BLOCK_STEPS, stream.n_steps + 1):
+        monkeypatch.setattr(evaluation, "_BLOCK_STEPS", block)
+        runs[block] = _result_bits(rolling_evaluate(stream, config))
+    # Six history arrays, four per scheme, less the ledgers equal and global_opt lack.
+    assert len(runs[1]) == 6 + 4 * len(ALL_SCHEMES) - 2
+    for block, bits in runs.items():
+        assert bits == runs[1], block
+
+
+# Scores that stress the running totals: -0.0, -1e308 (two of them sum to
+# -inf) and -inf; one +1e308 at most, so that no total reaches +inf and
+# meets a -inf (the NaN that selection refuses).
+_SCORE = st.one_of(st.floats(-30, 2), st.sampled_from([-0.0, -1e308, -np.inf]))
+
+
+@st.composite
+def selection_cases(draw):
+    """A stream with dead rows, extreme and signed-zero scores and, at
+    times, a duplicated expert (so that cells tie), a config over the
+    schemes that select, and a block length shorter than, about as long
+    as, or longer than the history batch."""
+    n, k = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    points = np.array(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    scores = np.array(draw(st.lists(st.lists(_SCORE, min_size=k, max_size=k), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        scores[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = 1e308
+    if draw(st.booleans()):
+        scores = np.hstack([scores, scores[:, :1]])
+    for t in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        scores[t] = -np.inf
+    names = tuple(f"m{j}" for j in range(scores.shape[1]))
+    stream = EvaluationStream(points, np.zeros(n), scores, names)
+    warmup = draw(st.integers(0, n - 2))
+    config = EvaluationConfig(
+        warmup_size=warmup,
+        history_size=draw(st.integers(0, n - 1 - warmup)),
+        width_grid=(0.5, 1.0, math.inf),
+        scaling_grid=(FixedScaling(0.0), FixedScaling(1.0), NATURAL),
+        schemes=(SCHEME_LOCAL_SOFTMAX, SCHEME_LOCAL_OPT, SCHEME_EQUAL),
+    )
+    block = draw(st.sampled_from([1, 2, 5, evaluation._BLOCK_STEPS]))
+    return stream, config, block
+
+
+@given(selection_cases())
+@settings(max_examples=60, deadline=None)
+def test_batched_selection_matches_the_stepwise_oracle(case):
+    """Picks, reported scores and reported weights equal a step-at-a-time
+    replay bitwise: the picks from ``stepwise_selection`` on the ledger,
+    the weights from that step's own ``PoolQuery``."""
+    stream, config, block = case
+    with mock.patch.object(evaluation, "_BLOCK_STEPS", block):
+        res = rolling_evaluate(stream, config)
+    w, first = config.warmup_size, config.history_size
+    for scheme, ledger in res.candidate_log_scores.items():
+        picks, scores = stepwise_selection(ledger, res.history.live_rows, first)
+        assert np.array_equal(res.chosen_cells[scheme], picks), scheme
+        assert res.pooled_log_scores[scheme].tobytes() == scores.tobytes(), scheme
+    for r, t in enumerate(range(w + first, stream.n_steps)):
+        history = History(stream.n_pooling_dims, stream.n_experts)
+        if t > w:
+            rows = slice(w, t)
+            history = History.from_arrays(
+                stream.time_indices[rows], stream.pooling_points[rows],
+                stream.outcomes[rows], stream.log_scores[rows],
+            )
+        query = PoolQuery(history, stream.pooling_points[t], config.width_grid, config.scaling_grid)
+        for scheme in config.schemes:
+            cell = res.chosen_cells[scheme][r]
+            expected = SCHEMES[scheme].grid(query)[cell]
+            assert res.weights[scheme][r].tobytes() == expected.tobytes(), (scheme, r)
