@@ -30,7 +30,7 @@ from .evaluation import (
     EvaluationConfig,
     rolling_evaluate,
 )
-from .history import History
+from .history import History, settle_score_sums
 from .io import (
     ScoreCsvError,
     emit_results,
@@ -321,9 +321,9 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
     for family, labels in result.candidate_labels.items():
         table = result.candidate_log_scores[family]
         # Shadow scores near 1e308 sum to +inf, as rolling_evaluate's totals do.
-        with np.errstate(over="ignore"):
-            total_all = table[live].sum(axis=0)
-            total_rep = table[live & reported].sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total_all = settle_score_sums(table[live].sum(axis=0))
+            total_rep = settle_score_sums(table[live & reported].sum(axis=0))
         for j, label in enumerate(labels):
             rows.append([family, label, format_real(total_all[j]), format_real(total_rep[j])])
         best = int(np.argmax(total_all))

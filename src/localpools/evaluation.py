@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import check_simplex_rows, pooled_rows
-from .history import History, PredictionRecord, check_records, check_widths
+from .history import History, PredictionRecord, check_records, check_widths, settle_score_sums
 from .pools import NATURAL, FixedScaling, PoolQuery, softmax_grid
 
 __all__ = [
@@ -241,24 +241,28 @@ class EvaluationResult:
     def totals(self) -> dict[str, float]:
         """Total reported log score per scheme (the headline comparison)."""
         # A left-to-right sum: np.sum is pairwise and rounds differently.
-        return {
-            scheme: float(sum(scores.tolist()))
-            for scheme, scores in self.pooled_log_scores.items()
-        }
+        sums = np.array([sum(scores.tolist()) for scores in self.pooled_log_scores.values()])
+        return dict(zip(self.pooled_log_scores, settle_score_sums(sums).tolist()))
 
 
 def select_hyperparameters(candidate_cumulative) -> int:
     """Index of the best-scoring grid cell; ties fall to the earliest one.
 
     With no scored steps yet every cumulative score is zero and the
-    first grid cell wins, which is the declared cold-start choice.
+    first grid cell wins, which is the declared cold-start choice.  This
+    is ``_best_cells`` on one row.
     """
     arr = np.asarray(candidate_cumulative, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a nonempty 1-D vector of candidate scores")
-    if np.any(np.isnan(arr)):
+    return int(_best_cells(arr))
+
+
+def _best_cells(totals: np.ndarray):
+    """The selection rule: the best cell of each row of totals, the earliest on a tie."""
+    if np.isnan(totals).any():
         raise ValueError("candidate scores must be NaN-free")
-    return int(np.argmax(arr))
+    return np.argmax(totals, axis=-1)
 
 
 def _grid_cells(scheme: str, config: EvaluationConfig) -> tuple[tuple, ...]:
@@ -367,11 +371,13 @@ def rolling_evaluate(stream: EvaluationStream, config: EvaluationConfig) -> Eval
                     # A dead row adds 0.0, and a total is never -0.0, so each
                     # sum is bitwise ``total + row`` over the live rows.
                     rows = np.where(live[start:stop, None], shadow, 0.0)
-                    sums = np.cumsum(np.concatenate([totals[scheme], rows]), axis=0)
+                    with np.errstate(invalid="ignore"):
+                        sums = np.cumsum(np.concatenate([totals[scheme], rows]), axis=0)
+                    settle_score_sums(sums)
                     totals[scheme] = sums[-1:]
                     if reporting:
                         # Selection sees the totals before each step's row.
-                        picks[:] = [select_hyperparameters(total) for total in sums[:-1]]
+                        picks[:] = _best_cells(sums[:-1])
                 if reporting:
                     steps, out = np.arange(stop - start), slice(start - first, stop - first)
                     weights[scheme][out] = grid[steps, picks]

@@ -9,6 +9,7 @@ regardless of covariate scale.
 
 ``check_records`` and ``check_widths`` hold the record rules and the
 caliper-width rule; every entry point that takes records or widths calls them.
+``settle_score_sums`` holds the one rule for sums of log scores.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "PredictionRecord", "History", "RecordError", "caliper_rows", "check_records", "check_widths",
+    "settle_score_sums",
 ]
 
 # A pooling dimension that never varies carries no distance information;
@@ -51,6 +53,17 @@ def _require(ok: np.ndarray, field: str, message: str) -> None:
 def _late(time, last, row: int) -> RecordError:
     message = f"time_index {time} not after last recorded {last}; records must be sorted by time"
     return RecordError(message, row, "times")
+
+
+def settle_score_sums(sums: np.ndarray) -> np.ndarray:
+    """Sums of log scores, each NaN set to the ``-inf`` it stands for (in place).
+
+    Scores are NaN-free and below ``+inf``, so a sum taken in order is NaN
+    only where a total that overflowed to ``+inf`` met a ``-inf`` score,
+    and the exact sum is then ``-inf``.  Sum with NumPy's ``invalid``
+    warning off, then settle here.
+    """
+    return np.fmax(sums, -np.inf, out=sums)
 
 
 def check_records(times, points, outcomes, scores):

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .densities import PoolWeights, pooled_rows
-from .history import History, caliper_rows
+from .history import History, caliper_rows, settle_score_sums
 
 if TYPE_CHECKING:
     from .local_elpd import LocalElpdEstimate
@@ -150,49 +150,104 @@ _SQUAREM_ITERATES = 20
 # Relative ridge on the curvature of a Newton step (see ``_face_direction``).
 _RIDGE = 1e-12
 
+# The iterates keep ``w`` and ``g`` as lists of K Python floats: every
+# K-length operation is then one IEEE operation per entry, the value NumPy
+# gives, without a NumPy call's overhead.  Each n-length pass (``A @ w``,
+# ``(1 / pooled) @ A`` and the gain's pass) stays in NumPy and BLAS, in the
+# same order; ``ndarray.dot`` makes the BLAS call ``@`` makes, with less
+# overhead.  The reductions keep NumPy's bits: ``_total`` is
+# ``np.add.reduce``, ``_top`` passes NaN on as ``np.max`` does, and
+# ``_norm`` stays a BLAS dot product.  ``tests/test_pools.py`` pins each of
+# these facts.
 
-def _on_simplex(w: np.ndarray) -> np.ndarray:
-    """Snap weights below 1e-300 to zero and renormalise (in place)."""
-    w[w < 1e-300] = 0.0
-    w /= w.sum()
-    return w
+
+def _total(w: list) -> float:
+    """``np.add.reduce`` of the entries, bitwise.
+
+    NumPy adds fewer than eight doubles one at a time from 0.0, left to
+    right; longer vectors it sums in its own unrolled order.
+    """
+    if len(w) < 8:
+        total = 0.0
+        for x in w:
+            total += x
+        return total
+    return float(np.add.reduce(np.array(w)))
+
+
+def _top(g: list) -> float:
+    """The largest entry, or NaN when any entry is NaN, as ``np.max`` has it."""
+    top = g[0]
+    for x in g:
+        if not x <= top:
+            if x != x:
+                return x
+            top = x
+    return top
+
+
+def _norm(x: list) -> float:
+    """The Euclidean norm, its square a BLAS dot product.
+
+    A Python loop rounds that dot product differently: its bits differ
+    for some 400-500 of 3,000 random K = 2 vectors.
+    """
+    x = np.array(x)
+    return math.sqrt(x.dot(x))
+
+
+def _on_simplex(w: list) -> list:
+    """Snap weights below 1e-300 to zero and renormalise."""
+    w = [0.0 if x < 1e-300 else x for x in w]
+    total = _total(w)
+    try:
+        return [x / total for x in w]
+    except ZeroDivisionError:
+        # Every weight snapped to zero: NumPy's 0 / 0, a NaN per entry.
+        return (np.array(w) / total).tolist()
 
 
 # Each helper below takes ``A``, the score block with every row shifted
 # by its maximum and exponentiated, and ``pooled = A . w`` at the current
 # weights; the objective is ``f(w) = mean_t log(A_t . w)``.  They run
-# inside ``_certified_fit``'s ``np.errstate``: a step that leaves some row
-# with no pooled density has a gain of -inf or NaN, which is no gain.
+# inside ``optimize_pool_weights``'s ``np.errstate``: a step that leaves
+# some row with no pooled density has a gain of -inf or NaN, which is no
+# gain.
 
 
-def _gradient(A: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+def _gradient(A: np.ndarray, pooled: np.ndarray) -> list:
     """``g = mean_t A_t / (A_t . w)``."""
-    return (1.0 / pooled) @ A / len(A)
+    n = len(A)
+    return [x / n for x in (1.0 / pooled).dot(A).tolist()]
 
 
-def _gain(A: np.ndarray, w_new: np.ndarray, w: np.ndarray, pooled: np.ndarray) -> float:
+def _gain(A: np.ndarray, w_new: list, w: list, pooled: np.ndarray) -> float:
     """``f(w_new) - f(w)``, accurate relative to the difference itself.
 
     Both points are read as rays, ``f(w / sum(w))``, so that rounding in
     a sum to one does not pass for a change of ``f``.
     """
-    step = w_new - w
-    ratio = np.log1p((A @ step) / pooled).sum() / len(A)
-    return float(ratio) - math.log1p(math.fsum(step.tolist()) / math.fsum(w.tolist()))
+    step = [a - b for a, b in zip(w_new, w)]
+    ratio = A.dot(np.array(step))
+    np.divide(ratio, pooled, out=ratio)
+    np.log1p(ratio, out=ratio)
+    return float(np.add.reduce(ratio)) / len(A) - math.log1p(math.fsum(step) / math.fsum(w))
 
 
 def _squarem_step(A, w, pooled, g):
     """One SQUAREM cycle from ``w``: ``(iterate, gain)``."""
-    w1 = _on_simplex(w * g)
-    w2 = _on_simplex(w1 * _gradient(A, A @ w1))
-    r = w1 - w
-    v = w2 - w1 - r
-    norm_v = math.sqrt(v @ v)
-    alpha = -math.sqrt(r @ r) / norm_v if norm_v > 0.0 else -1.0
+    w1 = _on_simplex([a * b for a, b in zip(w, g)])
+    w2 = _on_simplex([a * b for a, b in zip(w1, _gradient(A, A.dot(np.array(w1))))])
+    r = [a - b for a, b in zip(w1, w)]
+    v = [c - b - a for a, b, c in zip(r, w1, w2)]
+    norm_v = _norm(v)
+    alpha = -_norm(r) / norm_v if norm_v > 0.0 else -1.0
     while alpha < -1.01:
-        w_new = w - 2.0 * alpha * r + alpha * alpha * v
-        if w_new.min() >= 0.0:
-            _on_simplex(w_new)
+        twice, square = 2.0 * alpha, alpha * alpha
+        w_new = [a - twice * b + square * c for a, b, c in zip(w, r, v)]
+        # ``min(w_new) >= 0`` with NaN failing it, as np.min has it.
+        if all(x >= 0.0 for x in w_new):
+            w_new = _on_simplex(w_new)
             gain = _gain(A, w_new, w, pooled)
             if gain >= 0.0:
                 return w_new, gain
@@ -232,8 +287,10 @@ def _newton_step(A, w, pooled, g):
     to zero, leaving the face.  A weight below the rounding of the
     largest one cannot be stepped to zero while the others move, so when
     its gradient is below 1 it leaves the face at once.  The step is
-    halved until ``f`` does not decrease.
+    halved until ``f`` does not decrease.  The step runs on arrays; the
+    iterates come and go as lists.
     """
+    start, w, g = w, np.array(w), np.array(g)
     negligible = (w < np.finfo(float).eps * w.max()) & (g < 1.0)
     face = (w > 0.0) & ~negligible
     direction = _face_direction(A, face, pooled, g)
@@ -255,11 +312,12 @@ def _newton_step(A, w, pooled, g):
         # would swamp gains far below the rounding of ``w``.
         w_new = w + length * direction
         w_new[negligible | (zero_at <= length) | (w_new < 1e-300)] = 0.0
-        gain = _gain(A, w_new, w, pooled)
+        w_new = w_new.tolist()
+        gain = _gain(A, w_new, start, pooled)
         if gain >= 0.0:
             return _on_simplex(w_new), gain
         length *= 0.5
-    return w, 0.0
+    return start, 0.0
 
 
 def optimize_pool_weights(
@@ -343,12 +401,12 @@ def optimize_pool_weights(
             weights = equal_weights(k)
             return (weights, np.array([-np.inf])) if return_history else weights
         E, row_max = E[live], row_max[live]
+    gains = [] if return_history else None
     # A score of -1e308 less a row maximum of 1e308 overflows to -inf, and
     # exp gives the 0 that a score so far below the row's best rounds to.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         A = np.exp(E - row_max[:, None])
-    gains = [] if return_history else None
-    w, gap = _certified_fit(A, gap_tol, max_iter, gains)
+        w, gap = _certified_fit(A, gap_tol, max_iter, gains)
     if gap > gap_tol:
         warnings.warn(
             f"optimize_pool_weights stopped after {max_iter} iterates at a "
@@ -372,25 +430,24 @@ def _certified_fit(A: np.ndarray, gap_tol: float, max_iter: int, gains: list | N
     ``A`` is an (n, K) block, n >= 1, of rows ``exp(E_t - max_t E_t)``
     with no row all zero.  Starting from exactly ``1/K``, the iterates run
     until the duality gap is at most ``gap_tol`` or ``max_iter`` of them
-    have run; ``w`` is the last one, unchecked and unwrapped, and ``gap``
-    its certificate.  Each iterate's gain in ``f`` is appended to
-    ``gains`` when that is a list.
+    have run; ``w`` is the last one, an unchecked array, and ``gap`` its
+    certificate.  Each iterate's gain in ``f`` is appended to ``gains``
+    when that is a list.  The caller holds the ``np.errstate``.
     """
     k = A.shape[1]
-    w = np.full(k, 1.0 / k)
+    w = [1.0 / k] * k
     iterates = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pooled = A @ w
+    pooled = A.dot(np.array(w))
+    g = _gradient(A, pooled)
+    while (gap := math.log(_top(g))) > gap_tol and iterates < max_iter:
+        step = _squarem_step if iterates < _SQUAREM_ITERATES else _newton_step
+        w, gain = step(A, w, pooled, g)
+        pooled = A.dot(np.array(w))
         g = _gradient(A, pooled)
-        while (gap := math.log(g.max())) > gap_tol and iterates < max_iter:
-            step = _squarem_step if iterates < _SQUAREM_ITERATES else _newton_step
-            w, gain = step(A, w, pooled, g)
-            pooled = A @ w
-            g = _gradient(A, pooled)
-            iterates += 1
-            if gains is not None:
-                gains.append(gain)
-    return w, gap
+        iterates += 1
+        if gains is not None:
+            gains.append(gain)
+    return np.array(w), gap
 
 
 def pooled_log_scores(weights: PoolWeights, log_scores) -> np.ndarray:
@@ -490,12 +547,17 @@ class PoolQuery:
         whole = rows.size == len(self.history)
         fits = self._whole if whole else self._fits
         if rows.size not in fits:
-            live = rows[self.history.live_rows[rows]]
-            if live.size == 0:
+            history = self.history
+            if whole and history.live_rows.all():
+                # Every row of the history, live: no gather.
+                block = history.score_matrix
+            else:
+                block = history.score_matrix[rows[history.live_rows[rows]]]
+            if len(block) == 0:
                 weights = self.equal()[0]
                 weights.flags.writeable = False
             else:
-                weights = optimize_pool_weights(self.history.score_matrix[live]).values
+                weights = optimize_pool_weights(block).values
             fits[rows.size] = weights
         return fits[rows.size]
 
@@ -509,9 +571,10 @@ def _caliper_means(history: History, neighbors) -> np.ndarray:
     scores = history.score_matrix
     estimates = np.zeros((len(neighbors), history.n_experts))
     means: dict[int, np.ndarray] = {}
-    # Scores of size near 1e308 can sum to an infinite mean; the softmax
+    # Scores of size near 1e308 can sum to an infinite mean, and one that
+    # then meets a -inf score to NaN, settled to -inf below; the softmax
     # takes an estimate of -inf or +inf as it is.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for row, idx in zip(estimates, neighbors):
             if idx.size:
                 if idx.size not in means:
@@ -520,4 +583,4 @@ def _caliper_means(history: History, neighbors) -> np.ndarray:
                     block = scores if idx.size == len(scores) else scores[idx]
                     means[idx.size] = np.add.reduce(block, axis=0) / idx.size
                 row[:] = means[idx.size]
-    return estimates
+    return settle_score_sums(estimates)

@@ -11,7 +11,8 @@ the checklist judges pool studies by; the package itself has no use for it.
 ``stepwise_selection`` keeps the harness's shadow totals one step at a
 time.  It alone calls into the package, for ``select_hyperparameters``:
 what it checks is the batched bookkeeping of the totals, not the rule
-that picks a cell from them.
+that picks a cell from them.  ``_certified_fit`` is the pool optimizer's
+iterates as they ran when every K-length operation was a NumPy call.
 """
 
 from __future__ import annotations
@@ -311,3 +312,156 @@ def stepwise_selection(ledger, live, history_size: int) -> tuple[np.ndarray, np.
             if live[row]:
                 cand_cum = cand_cum + table[row]
     return np.array(picks, dtype=int), np.array(scores)
+
+
+# -- the pool optimizer's iterates, all in NumPy ----------------------------
+#
+# ``_certified_fit`` and its helpers as the package ran them when every
+# K-length operation was a NumPy call, copied verbatim.  The package now
+# runs that arithmetic on Python floats; the property that uses these asks
+# it for the same weights, gap, gains and iterate count, bit for bit.
+
+# SQUAREM iterates before the remaining ones become Newton steps.  Blocks
+# without a degenerate optimum are certified well within this: the
+# simulated evaluate streams need at most 11.
+_SQUAREM_ITERATES = 20
+# Relative ridge on the curvature of a Newton step (see ``_face_direction``).
+_RIDGE = 1e-12
+
+
+def _on_simplex(w: np.ndarray) -> np.ndarray:
+    """Snap weights below 1e-300 to zero and renormalise (in place)."""
+    w[w < 1e-300] = 0.0
+    w /= w.sum()
+    return w
+
+
+# Each helper below takes ``A``, the score block with every row shifted
+# by its maximum and exponentiated, and ``pooled = A . w`` at the current
+# weights; the objective is ``f(w) = mean_t log(A_t . w)``.  They run
+# inside ``_certified_fit``'s ``np.errstate``: a step that leaves some row
+# with no pooled density has a gain of -inf or NaN, which is no gain.
+
+
+def _gradient(A: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """``g = mean_t A_t / (A_t . w)``."""
+    return (1.0 / pooled) @ A / len(A)
+
+
+def _gain(A: np.ndarray, w_new: np.ndarray, w: np.ndarray, pooled: np.ndarray) -> float:
+    """``f(w_new) - f(w)``, accurate relative to the difference itself.
+
+    Both points are read as rays, ``f(w / sum(w))``, so that rounding in
+    a sum to one does not pass for a change of ``f``.
+    """
+    step = w_new - w
+    ratio = np.log1p((A @ step) / pooled).sum() / len(A)
+    return float(ratio) - math.log1p(math.fsum(step.tolist()) / math.fsum(w.tolist()))
+
+
+def _squarem_step(A, w, pooled, g):
+    """One SQUAREM cycle from ``w``: ``(iterate, gain)``."""
+    w1 = _on_simplex(w * g)
+    w2 = _on_simplex(w1 * _gradient(A, A @ w1))
+    r = w1 - w
+    v = w2 - w1 - r
+    norm_v = math.sqrt(v @ v)
+    alpha = -math.sqrt(r @ r) / norm_v if norm_v > 0.0 else -1.0
+    while alpha < -1.01:
+        w_new = w - 2.0 * alpha * r + alpha * alpha * v
+        if w_new.min() >= 0.0:
+            _on_simplex(w_new)
+            gain = _gain(A, w_new, w, pooled)
+            if gain >= 0.0:
+                return w_new, gain
+        alpha = 0.5 * (alpha - 1.0)
+    return w2, _gain(A, w2, w, pooled)
+
+
+def _face_direction(A, face: np.ndarray, pooled, g) -> np.ndarray:
+    """Newton direction for ``f`` within the face of the simplex ``face`` spans.
+
+    The curvature ``B'B / n`` (``B = A / pooled``) is singular along
+    duplicated experts and nearly so along near-duplicates; a ridge of
+    ``_RIDGE`` times its largest diagonal entry keeps the solve regular.
+    Along a flat direction the step is then the gradient over the ridge:
+    zero between exact duplicates, and long enough to reach a face
+    between near-duplicates that differ in gradient.
+    """
+    idx = np.flatnonzero(face)
+    m = idx.size
+    scaled = A[:, idx] / pooled[:, None]
+    curvature = scaled.T @ scaled / len(A)
+    kkt = np.ones((m + 1, m + 1))
+    kkt[:m, :m] = curvature + _RIDGE * curvature.diagonal().max() * np.eye(m)
+    kkt[m, m] = 0.0
+    rhs = np.append(g[idx] - 1.0, 0.0)
+    direction = np.zeros_like(g)
+    direction[idx] = np.linalg.solve(kkt, rhs)[:m]
+    return direction
+
+
+def _newton_step(A, w, pooled, g):
+    """One Newton step within a face of the simplex: ``(iterate, gain)``.
+
+    The face is the support of ``w``, widened by the expert with the
+    largest gradient when its weight is zero and the widened step would
+    raise it.  Weights the step would take below zero stop it and are set
+    to zero, leaving the face.  A weight below the rounding of the
+    largest one cannot be stepped to zero while the others move, so when
+    its gradient is below 1 it leaves the face at once.  The step is
+    halved until ``f`` does not decrease.
+    """
+    negligible = (w < np.finfo(float).eps * w.max()) & (g < 1.0)
+    face = (w > 0.0) & ~negligible
+    direction = _face_direction(A, face, pooled, g)
+    best = int(np.argmax(g))
+    if not face[best]:
+        face[best] = True
+        widened = _face_direction(A, face, pooled, g)
+        if widened[best] > 0.0:
+            direction = widened
+    # The step length at which each falling weight reaches zero.
+    zero_at = np.full_like(w, np.inf)
+    falling = direction < 0.0
+    zero_at[falling] = w[falling] / -direction[falling]
+    length = min(1.0, zero_at.min())
+    # 53 halvings take any step below the resolution of a double; a step
+    # that never gains leaves ``w`` where it is.
+    for _ in range(53):
+        # The gain is judged before renormalising: rounding a sum to one
+        # would swamp gains far below the rounding of ``w``.
+        w_new = w + length * direction
+        w_new[negligible | (zero_at <= length) | (w_new < 1e-300)] = 0.0
+        gain = _gain(A, w_new, w, pooled)
+        if gain >= 0.0:
+            return _on_simplex(w_new), gain
+        length *= 0.5
+    return w, 0.0
+
+
+def _certified_fit(A: np.ndarray, gap_tol: float, max_iter: int, gains: list | None):
+    """The iterates of ``optimize_pool_weights`` on its shifted live rows: ``(w, gap)``.
+
+    ``A`` is an (n, K) block, n >= 1, of rows ``exp(E_t - max_t E_t)``
+    with no row all zero.  Starting from exactly ``1/K``, the iterates run
+    until the duality gap is at most ``gap_tol`` or ``max_iter`` of them
+    have run; ``w`` is the last one, unchecked and unwrapped, and ``gap``
+    its certificate.  Each iterate's gain in ``f`` is appended to
+    ``gains`` when that is a list.
+    """
+    k = A.shape[1]
+    w = np.full(k, 1.0 / k)
+    iterates = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pooled = A @ w
+        g = _gradient(A, pooled)
+        while (gap := math.log(g.max())) > gap_tol and iterates < max_iter:
+            step = _squarem_step if iterates < _SQUAREM_ITERATES else _newton_step
+            w, gain = step(A, w, pooled, g)
+            pooled = A @ w
+            g = _gradient(A, pooled)
+            iterates += 1
+            if gains is not None:
+                gains.append(gain)
+    return w, gap

@@ -174,6 +174,65 @@ def test_scores_that_overflow_the_softmax_run_to_the_end(tmp_path):
             assert all(0.0 <= w <= 1.0 for w in cell) and abs(math.fsum(cell) - 1.0) <= 1e-12
 
 
+# Two scores of 1e308 sum to +inf, and the -inf after them makes that NaN
+# in every sum that reaches it: the caliper means, the shadow totals and
+# the gridsearch totals.
+INF_MEETS_MINUS_INF = "t,y,z_1,lp_a,lp_b\n0,0,0.0,1e308,0\n1,0,0.1,1e308,0\n2,0,0.2,-inf,0\n3,0,0.3,0,0\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["evaluate", "gridsearch", "pool-once"])
+def test_a_sum_that_overflows_then_meets_minus_inf_is_minus_inf(tmp_path, command):
+    """Scores are NaN-free and below +inf, so a NaN in a sum of them is an
+    overflowed +inf meeting a -inf score, whose exact sum is -inf.  Every
+    command runs to the end with no warning and reports that -inf."""
+    path = tmp_path / "scores.csv"
+    path.write_text(INF_MEETS_MINUS_INF)
+    out = tmp_path / "out"
+    if command == "pool-once":
+        args = ["--point", "0.1", "--width", "1", "--out", str(out)]
+    else:
+        args = ["--warmup", "0", "--history", "0", "--schemes", "local_softmax", "--out", str(out)]
+    assert main([command, "--scores", str(path), *args]) == 0
+    if command == "pool-once":
+        payload = json.loads(out.read_text())
+        assert payload["neighbor_count"] == 3
+        assert payload["local_estimates"] == {"a": -math.inf, "b": 0.0}
+        assert payload["weights"]["local_softmax"] == {"a": 0.0, "b": 1.0}
+        return
+    config = EvaluationConfig(schemes=("local_softmax",))
+    result = rolling_evaluate(load_score_csv(path), config)
+    table = result.candidate_log_scores["local_softmax"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = np.where((table == -np.inf).any(axis=0), -np.inf, table.sum(axis=0))
+        before = np.where((table[:3] == -np.inf).any(axis=0), -np.inf, table[:3].sum(axis=0))
+    assert -np.inf in exact
+    if command == "gridsearch":
+        with open(out / "gridsearch.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for key in ("shadow_total_all", "shadow_total_reported"):
+            np.testing.assert_array_equal([float(row[key]) for row in rows], exact)
+        return
+    # Step 3 picks on the totals of steps 0-2: the first cell reaching the best one.
+    with open(out / "steps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    cell = result.candidate_labels["local_softmax"][int(np.argmax(before))]
+    assert f"width={rows[3]['width_local_softmax']},{rows[3]['scaling_local_softmax']}" == cell
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_reported_total_that_overflows_then_meets_minus_inf_is_minus_inf(tmp_path, capsys):
+    """Two pooled scores near 1e308 and a dead row sum to -inf in summary.json, not NaN."""
+    path = tmp_path / "scores.csv"
+    path.write_text("t,y,z_1,lp_a,lp_b\n0,0,0,1e308,1e308\n1,0,1,1e308,1e308\n2,0,2,-inf,-inf\n3,0,3,0,0\n")
+    out = tmp_path / "out"
+    flags = ["--warmup", "0", "--history", "0", "--schemes", "equal", "--out", str(out)]
+    assert main(["evaluate", "--scores", str(path), *flags]) == 0
+    assert "equal: total log score -inf over 4 steps" in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["total_log_score"] == {"equal": -math.inf}
+
+
 def _fresh_python(code: str, cwd) -> None:
     """Run ``code`` in a new interpreter that imports this checkout's package."""
     src = str(Path(localpools.__file__).resolve().parent.parent)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localpools.evaluation import EvaluationStream
-from localpools.history import History, PredictionRecord, RecordError, check_records
+from localpools.history import (
+    History, PredictionRecord, RecordError, check_records, settle_score_sums,
+)
 from localpools.io import ScoreCsvError, format_real, load_score_csv
 from oracles import standardizing_moments
 
@@ -418,3 +420,17 @@ def test_from_arrays_matches_appending_row_by_row(block, width):
     for history in (whole, grown):
         assert not history.live_rows.flags.writeable
         assert _same_bits(history.live_rows, live)
+
+
+def test_settled_score_sums_are_minus_inf_where_nan_and_unchanged_elsewhere():
+    """A NaN sum of log scores is +inf meeting -inf, exactly -inf; every
+    other value keeps its bits, -0.0 and the infinities included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.array([[1e308, -np.inf], [1e308, 0.0], [-np.inf, -0.0]]).sum(axis=0)
+    sums = np.concatenate([sums, [np.inf, -np.inf, -0.0, 5e-324, -1.5]])
+    assert np.isnan(sums[0])
+    before = sums.copy()
+    out = settle_score_sums(sums)
+    assert out is sums
+    assert sums[0] == -np.inf
+    assert sums[1:].tobytes() == before[1:].tobytes()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from localpools.pools import (
     pooled_log_scores,
     softmax_weights,
 )
+from oracles import _certified_fit as numpy_certified_fit
 from oracles import pooled_objective, refined_grid_best
 
 
@@ -244,14 +246,19 @@ def _independent_gap(scores: np.ndarray, w: np.ndarray) -> float:
 
 
 @st.composite
-def _score_blocks(draw):
-    """(n, K) log-score blocks with dead entries, dominated and duplicated columns."""
-    k = draw(st.integers(1, 5))
+def _score_blocks(draw, max_experts=5, dead_rows=False):
+    """(n, K) log-score blocks with dead entries, dominated and duplicated columns.
+
+    With ``dead_rows`` some rows score ``-inf`` for every expert.
+    """
+    k = draw(st.integers(1, max_experts))
     n = draw(st.integers(1, 60))
     cells = st.one_of(
         st.floats(min_value=-40.0, max_value=5.0), st.just(-np.inf)
     )
     scores = np.array(draw(st.lists(cells, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if dead_rows:
+        scores[draw(st.lists(st.integers(0, n - 1), max_size=3))] = -np.inf
     if k > 1:
         src, dst = draw(st.permutations(range(k)))[:2]
         shape = draw(st.sampled_from(["as drawn", "duplicated", "dominated"]))
@@ -291,6 +298,103 @@ def test_optimizer_is_certified_and_monotone(scores):
     # The gap is recomputed here in another order of operations, so allow
     # for rounding in the last bits of its logarithm.
     assert _independent_gap(scores, w.values) <= gap_tol + 1e-14
+
+
+# The package's kernel, taken before any test patches it.
+_KERNEL = pools._certified_fit
+
+
+def _canonical_bits(values) -> bytes:
+    """The bytes of a float vector, with every NaN written as one NaN."""
+    x = np.array(values, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def _fit_through(kernel, scores, gap_tol, max_iter, history):
+    """``optimize_pool_weights`` run on ``kernel``: (its result or error, the kernel's outputs)."""
+    seen = []
+
+    def spy(A, gap_tol, max_iter, gains):
+        w, gap = kernel(A, gap_tol, max_iter, gains)
+        gains = None if gains is None else _canonical_bits(gains)
+        seen.append((_canonical_bits(w), _canonical_bits(gap), gains))
+        return w, gap
+
+    with mock.patch.object(pools, "_certified_fit", spy), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            out = optimize_pool_weights(
+                scores, gap_tol=gap_tol, max_iter=max_iter, return_history=history
+            )
+        except ValueError as exc:
+            return str(exc), seen
+    if history:
+        weights, trace = out
+        return (weights.values.tobytes(), _canonical_bits(trace)), seen
+    return out.values.tobytes(), seen
+
+
+@given(
+    _score_blocks(max_experts=10, dead_rows=True),
+    st.one_of(
+        st.tuples(st.sampled_from([1e-8, 1e-12]), st.one_of(st.integers(1, 40), st.just(5000))),
+        st.tuples(st.just(-1.0), st.integers(21, 40)),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+@example(np.array([[0.0, 0.0, _INF, -1.0, _INF], [_INF, _INF, _INF, 0.0, 0.0],
+                   [-10.0, _INF, 0.0, _INF, -1.0]]), (1e-8, 5000), True)
+@example(np.array([[0.0, 0.0, _INF, _INF, _INF], [_INF] * 5, [_INF] * 5,
+                   [_INF, -22.75, -6.0, _INF, -6.0]]), (1e-8, 5000), False)
+@example(np.array([[_INF] * 4, [0.0, 0.0, _INF, 0.0], [0.5, -13.0, _INF, 0.0],
+                   [_INF, _INF, -6.0, 0.0]]), (1e-8, 5000), True)
+def test_the_kernel_is_bitwise_the_numpy_kernel(scores, stop, history):
+    """Weights, gap, gains, iterate count and trace equal those of the
+    all-NumPy kernel in ``oracles``, with the history on and off.  A
+    negative gap tolerance runs every block past the SQUAREM iterates into
+    Newton steps."""
+    gap_tol, max_iter = stop
+    got = _fit_through(_KERNEL, scores, gap_tol, max_iter, history)
+    want = _fit_through(numpy_certified_fit, scores, gap_tol, max_iter, history)
+    assert got == want
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False), st.just(-0.0)), max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_add_reduce_of_fewer_than_eight_is_left_to_right(values):
+    """``np.add.reduce`` adds fewer than eight doubles one at a time from 0.0,
+    as ``pools._total`` does for such vectors; longer ones it sums in
+    another order."""
+    total = 0.0
+    for x in values:
+        total += x
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = np.add.reduce(np.array(values, dtype=float))
+    assert _canonical_bits(reduced) == _canonical_bits(total)
+    assert _canonical_bits(pools._total(values)) == _canonical_bits(reduced)
+
+
+@given(st.lists(st.one_of(st.floats(min_value=0.0), st.just(math.nan)), min_size=1, max_size=10))
+def test_the_largest_gradient_passes_nan_on_as_np_max_does(g):
+    """``pools._top``, the gap's ``max g``, is NaN when any entry is NaN,
+    wherever it sits; Python's ``max`` is not."""
+    assert _canonical_bits(pools._top(g)) == _canonical_bits(np.max(np.array(g)))
+
+
+@given(st.integers(1, 700), st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_ndarray_dot_is_the_product_matmul_makes(n, k, seed):
+    """``A.dot(w)``, ``x.dot(A)`` and ``r.dot(r)``, as the kernel writes its
+    BLAS products, give the bits of ``A @ w``, ``x @ A`` and ``r @ r``."""
+    rng = np.random.default_rng(seed)
+    A = np.exp(rng.normal(0.0, 3.0, size=(n, k)))
+    w = rng.dirichlet(np.ones(k))
+    x = 1.0 / (A @ w)
+    r = rng.normal(0.0, 1e-3, size=k)
+    assert A.dot(w).tobytes() == (A @ w).tobytes()
+    assert x.dot(A).tobytes() == (x @ A).tobytes()
+    assert r.dot(r) == r @ r
 
 
 class TestLocalOptWeights:
