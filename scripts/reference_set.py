@@ -19,7 +19,10 @@ scoring ``-inf`` on a few rows and one expert on every row, and one
 CSV whose log scores reach ``-1e308`` and ``1e308`` (the one of
 ``tests/test_cli.py::test_scores_that_overflow_the_softmax_run_to_the_end``),
 and one ``evaluate``, one ``gridsearch`` and one ``pool-once`` run on it;
-the standard output of each of these commands as ``<name>.log``; and
+``ev_ini.ini``, a config file that sets ``[run]``, ``[data] scores_csv``
+and the ``[evaluation]`` keys with paths relative to ``OUT``, and one
+``evaluate`` run that takes every setting from it; the standard output
+of each of these commands as ``<name>.log``; and
 ``help.txt``, the ``--help`` text of the top level and of every subcommand.
 """
 
@@ -69,7 +72,22 @@ CALLS = {
     "once_overflow": [
         "pool-once", "--scores", "overflow.csv", "--point", "0,0", "--out", "once_overflow.json",
     ],
+    "ev_ini": ["--config", "ev_ini.ini", "evaluate"],
 }
+# No [data] simulate: beside a scores_csv, older trees ignore it and newer
+# ones simulate, so the file would not give both the same bytes.
+CONFIG = """[run]
+seed = 3
+output_dir = ev_ini
+[data]
+scores_csv = scores.csv
+[evaluation]
+warmup_size = 100
+history_size = 100
+width_grid = 0.5, 2, inf
+scaling_grid = 1, natural
+schemes = local_softmax, local_opt, equal
+"""
 HELP = [[], ["simulate"], ["evaluate"], ["gridsearch"], ["pool-once"]]
 MAIN = "import sys; from localpools.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -115,6 +133,7 @@ def write_reference_set(src: Path, out: Path) -> None:
     inputs.write_score_csv(out / "scores.csv", 1, 800)
     write_dead_rows_csv(out / "scores.csv", out / "dead.csv")
     write_overflow_csv(out / "overflow.csv")
+    (out / "ev_ini.ini").write_text(CONFIG)
     for name, argv in CALLS.items():
         (out / f"{name}.log").write_bytes(run_cli(argv, out, src))
     help_text = b"".join(run_cli([*cmd, "--help"], out, src) for cmd in HELP)

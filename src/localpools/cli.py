@@ -9,13 +9,15 @@ Subcommands:
                    totals instead of the per-step results.
 * ``pool-once``  — weights at a single query point given a history file.
 
-Values come from built-in defaults, overridden by an optional config
-file (``--config``, INI syntax), overridden by explicit flags.
+Each setting is one entry of ``_SETTINGS``: it comes from its flag, else
+from its key in the optional config file (``--config``, INI syntax), else
+from its default.  A key that no command reads is refused.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from pathlib import Path
 
@@ -48,7 +50,7 @@ from .io import (
     write_pool_study_csv,
     write_score_csv,
 )
-from .pools import PoolQuery
+from .pools import NATURAL, PoolQuery
 from .simulation import (
     DEFAULT_ERROR_WIDTHS,
     DEFAULT_POOL_SCHEMES,
@@ -63,17 +65,13 @@ from .simulation import (
 
 def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
     """Semicolon-separated points, comma-separated coordinates: '2,0;0,0'."""
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        points.append(tuple(float(tok) for tok in chunk.split(",")))
+    chunks = [chunk for chunk in text.split(";") if chunk.strip()]
+    points = tuple(tuple(float(tok) for tok in chunk.split(",")) for chunk in chunks)
     if not points:
         raise ValueError(f"no query points in {text!r}")
     if len({len(p) for p in points}) != 1:
         raise ValueError("query points must share a dimension")
-    return tuple(points)
+    return points
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
@@ -81,19 +79,68 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+_STUDIES = ("error", "pool", "both")
+
+
+def _parse_study(text: str) -> str:
+    if text not in _STUDIES:
+        raise ValueError(f"unknown study {text!r}; valid: {', '.join(_STUDIES)}")
+    return text
+
+
+def _parse_bool(text) -> bool:
+    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(text).lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# Every setting a command reads, keyed by its INI (section, key): the flag
+# (argparse dest) that sets it, its default, and the one parser that the
+# flag's value and the INI string both go through.
+_SETTINGS = {
+    ("run", "seed"): ("seed", 0, int),
+    ("run", "output_dir"): ("out", Path("results"), Path),
+    ("dgp", "sample_size"): ("sample_size", 2000, int),
+    ("dgp", "train_fraction"): ("train_fraction", 0.5, float),
+    ("data", "scores_csv"): ("scores", None, str),
+    ("data", "simulate"): ("simulate", False, _parse_bool),
+    ("simulate", "study"): ("study", "both", _parse_study),
+    ("simulate", "replications"): ("replications", 500, int),
+    ("simulate", "query_points"): ("query_points", DEFAULT_QUERY_POINTS, _parse_points),
+    ("simulate", "error_widths"): ("widths", DEFAULT_ERROR_WIDTHS, parse_width_grid),
+    ("simulate", "pool_widths"): ("widths", DEFAULT_POOL_WIDTHS, parse_width_grid),
+    ("simulate", "schemes"): ("schemes", DEFAULT_POOL_SCHEMES, _parse_schemes),
+    ("evaluation", "warmup_size"): ("warmup", 200, int),
+    ("evaluation", "history_size"): ("history", 200, int),
+    ("evaluation", "width_grid"): ("widths", DEFAULT_WIDTH_GRID, parse_width_grid),
+    ("evaluation", "scaling_grid"): ("scalings", DEFAULT_SCALING_GRID, parse_scaling_grid),
+    ("evaluation", "schemes"): ("schemes", ALL_SCHEMES, _parse_schemes),
+    ("query", "width"): ("width", 1.0, float),
+    ("query", "scaling"): ("scaling", NATURAL, parse_scaling_token),
+}
+
+
 class _Settings:
-    """Defaults < config file < explicit flags, resolved per key."""
+    """A setting of ``_SETTINGS`` from its flag, else the config file, else its default."""
 
-    def __init__(self, config_path: str | None) -> None:
-        self.sections = read_config_file(config_path) if config_path else {}
+    def __init__(self, args) -> None:
+        self.args = args
+        self.sections = read_config_file(args.config) if args.config else {}
+        for section, keys in self.sections.items():
+            for key in keys:
+                if (section, key) not in _SETTINGS:
+                    raise ValueError(
+                        f"{args.config}: no command reads key {key!r} in section [{section}]"
+                    )
 
-    def get(self, flag_value, section: str, key: str, fallback, parse=None):
-        if flag_value is not None:
-            return flag_value
-        raw = self.sections.get(section, {}).get(key)
-        if raw is None:
-            return fallback
-        return parse(raw) if parse else raw
+    def __getitem__(self, name: tuple[str, str]):
+        flag, default, parse = _SETTINGS[name]
+        value = getattr(self.args, flag)
+        if value is None:
+            value = self.sections.get(name[0], {}).get(name[1])
+        return default if value is None else parse(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,17 +152,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="replication studies on the synthetic process")
-    sim.add_argument("--study", choices=("error", "pool", "both"), default=None)
-    sim.add_argument("--replications", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--sample-size", type=int, default=None)
-    sim.add_argument("--train-fraction", type=float, default=None)
-    sim.add_argument("--widths", default=None, help="comma-separated caliper widths")
-    sim.add_argument(
-        "--query-points", default=None, help="semicolon-separated points, e.g. '2,0;0,0'"
-    )
-    sim.add_argument("--schemes", default=None, help="pool-study schemes, comma-separated")
-    sim.add_argument("--out", default=None, help="output directory")
+    sim.add_argument("--study", choices=_STUDIES)
+    sim.add_argument("--replications", type=int)
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--sample-size", type=int)
+    sim.add_argument("--train-fraction", type=float)
+    sim.add_argument("--widths", help="comma-separated caliper widths")
+    sim.add_argument("--query-points", help="semicolon-separated points, e.g. '2,0;0,0'")
+    sim.add_argument("--schemes", help="pool-study schemes, comma-separated")
+    sim.add_argument("--out", help="output directory")
 
     for name, helptext in (
         ("evaluate", "rolling one-step-ahead evaluation"),
@@ -123,78 +168,44 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=helptext)
         src = cmd.add_mutually_exclusive_group()
-        src.add_argument("--scores", default=None, help="score CSV with external experts")
+        src.add_argument("--scores", help="score CSV with external experts")
+        # None, not store_true's False, when unset, as for every other flag.
         src.add_argument(
             "--simulate",
             action="store_true",
+            default=None,
             help="simulate data and score the built-in regression experts",
         )
-        cmd.add_argument("--warmup", type=int, default=None)
-        cmd.add_argument("--history", type=int, default=None)
-        cmd.add_argument("--widths", default=None)
-        cmd.add_argument("--scalings", default=None, help="e.g. '0.5,1,2,natural'")
-        cmd.add_argument("--schemes", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--sample-size", type=int, default=None)
-        cmd.add_argument("--out", default=None)
+        cmd.add_argument("--warmup", type=int)
+        cmd.add_argument("--history", type=int)
+        cmd.add_argument("--widths")
+        cmd.add_argument("--scalings", help="e.g. '0.5,1,2,natural'")
+        cmd.add_argument("--schemes")
+        cmd.add_argument("--seed", type=int)
+        cmd.add_argument("--sample-size", type=int)
+        cmd.add_argument("--out")
         if name == "evaluate":
-            cmd.add_argument(
-                "--dump-scores",
-                default=None,
-                help="also write the scored stream as a score CSV",
-            )
+            cmd.add_argument("--dump-scores", help="also write the scored stream as a score CSV")
 
     once = sub.add_parser("pool-once", help="weights at one query point from a history file")
     once.add_argument("--scores", required=True, help="score CSV treated as the history")
     once.add_argument("--point", required=True, help="query point, e.g. '2,0'")
-    once.add_argument("--width", type=float, default=None)
-    once.add_argument("--scaling", default=None, help="'natural' or a temperature")
-    once.add_argument("--out", default=None, help="JSON output path (default: stdout)")
+    once.add_argument("--width", type=float)
+    once.add_argument("--scaling", help="'natural' or a temperature")
+    once.add_argument("--out", help="JSON output path (default: stdout)")
     return parser
 
 
 def _cmd_simulate(args, settings: _Settings) -> int:
-    study = settings.get(args.study, "simulate", "study", "both")
-    replications = settings.get(args.replications, "simulate", "replications", 500, int)
-    seed = settings.get(args.seed, "run", "seed", 0, int)
-    sample_size = settings.get(args.sample_size, "dgp", "sample_size", 2000, int)
-    train_fraction = settings.get(args.train_fraction, "dgp", "train_fraction", 0.5, float)
-    out = Path(settings.get(args.out, "run", "output_dir", "results"))
-    config = DgpConfig(sample_size=sample_size, seed=seed)
-    points = settings.get(
-        args.query_points and _parse_points(args.query_points),
-        "simulate",
-        "query_points",
-        DEFAULT_QUERY_POINTS,
-        _parse_points,
-    )
-    if study not in ("error", "pool", "both"):
-        raise ValueError(f"unknown study {study!r}; valid: error, pool, both")
-    error_widths = pool_widths = None
-    schemes = DEFAULT_POOL_SCHEMES
-    if study in ("error", "both"):
-        error_widths = settings.get(
-            args.widths and parse_width_grid(args.widths),
-            "simulate",
-            "error_widths",
-            DEFAULT_ERROR_WIDTHS,
-            parse_width_grid,
-        )
-    if study in ("pool", "both"):
-        pool_widths = settings.get(
-            args.widths and parse_width_grid(args.widths),
-            "simulate",
-            "pool_widths",
-            DEFAULT_POOL_WIDTHS,
-            parse_width_grid,
-        )
-        schemes = settings.get(
-            args.schemes and _parse_schemes(args.schemes),
-            "simulate",
-            "schemes",
-            DEFAULT_POOL_SCHEMES,
-            _parse_schemes,
-        )
+    study = settings["simulate", "study"]
+    replications = settings["simulate", "replications"]
+    config = DgpConfig(sample_size=settings["dgp", "sample_size"], seed=settings["run", "seed"])
+    train_fraction = settings["dgp", "train_fraction"]
+    out = settings["run", "output_dir"]
+    points = settings["simulate", "query_points"]
+    error_widths = None if study == "pool" else settings["simulate", "error_widths"]
+    pool_widths = None if study == "error" else settings["simulate", "pool_widths"]
+    schemes = settings["simulate", "schemes"]
     # One pass serves both studies; it checks every input before the
     # first draw, so a bad input leaves no output behind.
     error_results, pool_result = replication_studies(
@@ -243,8 +254,8 @@ def _cmd_simulate(args, settings: _Settings) -> int:
         "command": "simulate",
         "study": study,
         "replications": replications,
-        "seed": seed,
-        "sample_size": sample_size,
+        "seed": config.seed,
+        "sample_size": config.sample_size,
         "train_fraction": train_fraction,
         "query_points": [list(p) for p in points],
         "files": files,
@@ -255,52 +266,30 @@ def _cmd_simulate(args, settings: _Settings) -> int:
 
 
 def _build_stream_and_config(args, settings: _Settings):
-    scores = settings.get(args.scores, "data", "scores_csv", None)
-    simulate = args.simulate or (
-        scores is None and settings.sections.get("data", {}).get("simulate") == "true"
-    )
-    seed = settings.get(args.seed, "run", "seed", 0, int)
-    if scores is not None and not simulate:
-        stream = load_score_csv(scores)
-        source = {"scores_csv": str(scores)}
-    else:
-        sample_size = settings.get(args.sample_size, "dgp", "sample_size", 2000, int)
-        data = generate_dgp(DgpConfig(sample_size=sample_size, seed=seed))
-        stream = nig_evaluation_stream(data)
-        source = {"simulated": True, "sample_size": sample_size}
     config = EvaluationConfig(
-        warmup_size=settings.get(args.warmup, "evaluation", "warmup_size", 200, int),
-        history_size=settings.get(args.history, "evaluation", "history_size", 200, int),
-        width_grid=settings.get(
-            args.widths and parse_width_grid(args.widths),
-            "evaluation",
-            "width_grid",
-            DEFAULT_WIDTH_GRID,
-            parse_width_grid,
-        ),
-        scaling_grid=settings.get(
-            args.scalings and parse_scaling_grid(args.scalings),
-            "evaluation",
-            "scaling_grid",
-            DEFAULT_SCALING_GRID,
-            parse_scaling_grid,
-        ),
-        schemes=settings.get(
-            args.schemes and _parse_schemes(args.schemes),
-            "evaluation",
-            "schemes",
-            ALL_SCHEMES,
-            _parse_schemes,
-        ),
-        seed=seed,
+        warmup_size=settings["evaluation", "warmup_size"],
+        history_size=settings["evaluation", "history_size"],
+        width_grid=settings["evaluation", "width_grid"],
+        scaling_grid=settings["evaluation", "scaling_grid"],
+        schemes=settings["evaluation", "schemes"],
+        seed=settings["run", "seed"],
     )
-    return stream, config, source
+    # A data source set by flag beats one set in the file, and within the
+    # file ``simulate`` beats ``scores_csv``, as ``--simulate`` does.
+    scores = settings["data", "scores_csv"]
+    if args.scores is None and settings["data", "simulate"]:
+        scores = None
+    if scores is not None:
+        return load_score_csv(scores), config, {"scores_csv": scores}
+    sample_size = settings["dgp", "sample_size"]
+    data = generate_dgp(DgpConfig(sample_size=sample_size, seed=config.seed))
+    return nig_evaluation_stream(data), config, {"simulated": True, "sample_size": sample_size}
 
 
 def _cmd_evaluate(args, settings: _Settings) -> int:
     stream, config, source = _build_stream_and_config(args, settings)
-    out = Path(settings.get(args.out, "run", "output_dir", "results"))
-    if getattr(args, "dump_scores", None):
+    out = settings["run", "output_dir"]
+    if args.dump_scores is not None:
         write_score_csv(args.dump_scores, stream)
     result = rolling_evaluate(stream, config)
     paths = emit_results(result, out, metadata={"command": "evaluate", **source})
@@ -312,7 +301,7 @@ def _cmd_evaluate(args, settings: _Settings) -> int:
 
 def _cmd_gridsearch(args, settings: _Settings) -> int:
     stream, config, source = _build_stream_and_config(args, settings)
-    out = Path(settings.get(args.out, "run", "output_dir", "results"))
+    out = settings["run", "output_dir"]
     out.mkdir(parents=True, exist_ok=True)
     result = rolling_evaluate(stream, config)
     reported = np.arange(len(result.history)) >= config.history_size
@@ -349,10 +338,8 @@ def _cmd_gridsearch(args, settings: _Settings) -> int:
 def _cmd_pool_once(args, settings: _Settings) -> int:
     stream = load_score_csv(args.scores)
     point = np.asarray(_parse_points(args.point)[0])
-    width = settings.get(args.width, "query", "width", 1.0, float)
-    scaling = parse_scaling_token(
-        settings.get(args.scaling, "query", "scaling", "natural")
-    )
+    width = settings["query", "width"]
+    scaling = settings["query", "scaling"]
     history = History.from_arrays(
         stream.time_indices, stream.pooling_points, stream.outcomes, stream.log_scores
     )
@@ -382,7 +369,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _Settings(args.config)
+        settings = _Settings(args)
         if args.command == "simulate":
             return _cmd_simulate(args, settings)
         if args.command == "evaluate":

@@ -240,9 +240,17 @@ class EvaluationResult:
 
     def totals(self) -> dict[str, float]:
         """Total reported log score per scheme (the headline comparison)."""
-        # A left-to-right sum: np.sum is pairwise and rounds differently.
-        sums = np.array([sum(scores.tolist()) for scores in self.pooled_log_scores.values()])
-        return dict(zip(self.pooled_log_scores, settle_score_sums(sums).tolist()))
+        sums = [_in_order_sum(scores.tolist()) for scores in self.pooled_log_scores.values()]
+        return dict(zip(self.pooled_log_scores, settle_score_sums(np.array(sums)).tolist()))
+
+
+def _in_order_sum(values) -> float:
+    """Left-to-right sum from 0.0: ``np.sum`` is pairwise and builtin ``sum``
+    is compensated from Python 3.12, and each rounds differently."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def select_hyperparameters(candidate_cumulative) -> int:

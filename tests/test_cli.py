@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import localpools
-from localpools.cli import main
+from localpools.cli import _SETTINGS, main
 from localpools.evaluation import EvaluationConfig, EvaluationStream, rolling_evaluate
 from localpools.history import History, PredictionRecord
 from localpools.io import load_score_csv, write_score_csv
@@ -422,6 +423,9 @@ def test_simulate_pool_study(tmp_path, capsys):
         ["--widths", "0.5,-1"],
         ["--train-fraction", "1.0"],
         ["--replications", "99"],
+        ["--widths", ""],
+        ["--schemes", ""],
+        ["--query-points", ""],
     ],
 )
 def test_simulate_checks_every_input_before_writing(tmp_path, capsys, bad):
@@ -519,15 +523,16 @@ def test_simulate_both_is_one_pass_equal_to_the_separate_studies(tmp_path, monke
 
 
 def test_config_file_with_flag_override(tmp_path):
+    """A file shared by every command: the keys of the others are accepted."""
     ini = tmp_path / "run.ini"
     ini.write_text(
         "[run]\nseed = 7\noutput_dir = {out}\n"
-        "[dgp]\nsample_size = 60\n"
+        "[dgp]\nsample_size = 60\ntrain_fraction = 0.25\n"
         "[data]\nsimulate = true\n"
         "[evaluation]\nwarmup_size = 3\nhistory_size = 10\n"
-        "width_grid = 1, inf\nscaling_grid = 1, natural\n".format(
-            out=tmp_path / "from_ini"
-        )
+        "width_grid = 1, inf\nscaling_grid = 1, natural\n"
+        "[simulate]\nstudy = pool\nreplications = 100\npool_widths = 2\n"
+        "[query]\nwidth = 0.5\nscaling = 2\n".format(out=tmp_path / "from_ini")
     )
     rc = main(["--config", str(ini), "evaluate", "--history", "12"])
     assert rc == 0
@@ -535,6 +540,61 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["warmup_size"] == 3  # from the INI file
     assert manifest["config"]["history_size"] == 12  # flag wins over INI
     assert manifest["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("[evaluation]\nwarmup = 5\n", "key 'warmup' in section [evaluation]"),
+        ("[evaluate]\nwarmup_size = 5\n", "key 'warmup_size' in section [evaluate]"),
+        ("[run]\nout = elsewhere\n", "key 'out' in section [run]"),
+    ],
+    ids=["misspelt-key", "unknown-section", "flag-name"],
+)
+def test_a_config_key_that_no_command_reads_is_refused(tmp_path, capsys, body, where):
+    ini = tmp_path / "run.ini"
+    ini.write_text(body)
+    out = tmp_path / "out"
+    rc = main(["--config", str(ini), "evaluate", *EVAL_ARGS, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {ini}: no command reads {where}\n")
+    assert not out.exists()
+
+
+def test_simulate_in_the_config_beats_its_scores_csv_as_the_flag_does(tmp_path, capsys):
+    """``[data] simulate`` means what ``--simulate`` means: it beats the
+    file's ``scores_csv``, and a ``--scores`` flag beats it."""
+    csv_path = _score_csv(tmp_path)
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        f"[data]\nscores_csv = {csv_path}\nsimulate = yes\n"
+        "[dgp]\nsample_size = 60\n"
+        "[evaluation]\nwarmup_size = 5\nhistory_size = 15\n"
+    )
+
+    def source(*flags):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["--config", str(ini), "evaluate", *flags, "--out", str(out)]) == 0
+        metadata = json.loads((out / "manifest.json").read_text())["metadata"]
+        return {key: value for key, value in metadata.items() if key != "command"}
+
+    assert source() == {"simulated": True, "sample_size": 60}
+    assert source("--scores", str(csv_path)) == {"scores_csv": str(csv_path)}
+    ini.write_text(ini.read_text().replace("simulate = yes", "simulate = off"))
+    assert source() == {"scores_csv": str(csv_path)}
+    ini.write_text(ini.read_text().replace("simulate = off", "simulate = maybe"))
+    assert main(["--config", str(ini), "evaluate", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == "error: not a boolean: 'maybe'\n"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_the_readme_lists_every_config_key_with_its_flag():
+    """README's configuration table names the keys and flags of ``cli._SETTINGS``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| `--([\w-]+)` \|", readme, re.M)
+    assert len(rows) == len(_SETTINGS)
+    listed = {(section, key): flag for section, key, flag in rows}
+    assert listed == {name: entry[0].replace("_", "-") for name, entry in _SETTINGS.items()}
 
 
 def test_missing_scores_file_exits_nonzero(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -277,6 +278,14 @@ class TestRollingEvaluate:
         for scheme in SMALL_CONFIG.schemes:
             assert totals[scheme] == cum[scheme][-1]
             assert len(cum[scheme]) == res.reported_times.size
+
+    def test_totals_sum_left_to_right_on_every_python(self):
+        """These scores total 0.0 left to right; from Python 3.12 the
+        compensated builtin ``sum`` gives 2.0."""
+        res = rolling_evaluate(_synthetic_stream(), SMALL_CONFIG)
+        scores = np.array([0.1] * 10 + [1e16, 1.0, -1e16])
+        res = dataclasses.replace(res, pooled_log_scores={SCHEME_EQUAL: scores})
+        assert res.totals() == {SCHEME_EQUAL: 0.0}
 
     def test_equal_scheme_total_recomputes(self):
         stream = _synthetic_stream()
