@@ -13,10 +13,12 @@ the first pair of a workload, the working tree in the second, and so on.
 ``SEC`` defaults to ``run_seconds`` of ``BENCHMARK.json``.  It writes
 ``BENCH_<N>.json`` at the root of the working tree: every run's result and,
 per workload and end-to-end metric, each side's runs, median, quartiles and
-IQR, the pairs the working tree won (ties count for neither), the relative
-worsening of the median against the metric's bound, and whether the gain
-rule holds: at least nine tenths of the pairs won and a median gap larger
-than the base's IQR.  Seeds are a comma list of integers and ``A-B``
+IQR, the pairs the working tree won (ties count for neither), each pair's
+change/base ratio with their minimum, median and maximum (drift of the
+machine shared by a pair cancels in its ratio), the relative worsening of
+the median against the metric's bound, and whether the gain rule holds: at
+least nine tenths of the pairs won and a median gap larger than the base's
+IQR.  Seeds are a comma list of integers and ``A-B``
 ranges.  The base tree is removed when the script ends.
 """
 
@@ -69,12 +71,17 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
     gap = sign * (c["median"] - b["median"])
     worsening = -gap / b["median"]
     wins = sum(sign * (y - x) > 0.0 for x, y in zip(base, change))
+    # Drift of the machine that both runs of a pair share cancels in their ratio.
+    ratios = [y / x for x, y in zip(base, change)]
     return {
         "base": b,
         "change": c,
         "change_wins": wins,
         "pairs": len(base),
         "ratio_change_over_base": c["median"] / b["median"],
+        "pair_ratios": {
+            "min": min(ratios), "median": statistics.median(ratios), "max": max(ratios), "runs": ratios,
+        },
         "relative_worsening": worsening,
         "within_bound": worsening <= bound,
         "gain_rule_met": wins >= 0.9 * len(base) and gap > b["iqr"],
@@ -166,6 +173,8 @@ def main(argv=None) -> int:
             print(
                 f"{workload} {name}: base {m['base']['median']:.4g} (IQR {m['base']['iqr']:.3g}) "
                 f"change {m['change']['median']:.4g}, wins {m['change_wins']}/{m['pairs']}, "
+                f"pair ratios {m['pair_ratios']['min']:.3g}-{m['pair_ratios']['max']:.3g} "
+                f"(median {m['pair_ratios']['median']:.3g}), "
                 f"within bound {m['within_bound']}, gain rule {m['gain_rule_met']}"
             )
     print(f"wrote {path}")

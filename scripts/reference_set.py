@@ -21,7 +21,10 @@ CSV whose log scores reach ``-1e308`` and ``1e308`` (the one of
 and one ``evaluate``, one ``gridsearch`` and one ``pool-once`` run on it;
 ``ev_ini.ini``, a config file that sets ``[run]``, ``[data] scores_csv``
 and the ``[evaluation]`` keys with paths relative to ``OUT``, and one
-``evaluate`` run that takes every setting from it; the standard output
+``evaluate`` run that takes every setting from it; ``long.csv``, the
+score CSV of ``bench/inputs.write_score_csv(..., 2, 3000)``, and one
+``evaluate`` run of ``local_softmax`` and ``equal`` on it, whose history
+grows through many buffer doublings; the standard output
 of each of these commands as ``<name>.log``; and
 ``help.txt``, the ``--help`` text of the top level and of every subcommand.
 """
@@ -73,6 +76,10 @@ CALLS = {
         "pool-once", "--scores", "overflow.csv", "--point", "0,0", "--out", "once_overflow.json",
     ],
     "ev_ini": ["--config", "ev_ini.ini", "evaluate"],
+    "ev_long": [
+        "evaluate", "--scores", "long.csv", "--schemes", "local_softmax,equal", "--warmup", "100",
+        "--history", "100", "--out", "ev_long",
+    ],
 }
 # No [data] simulate: beside a scores_csv, older trees ignore it and newer
 # ones simulate, so the file would not give both the same bytes.
@@ -131,6 +138,7 @@ def write_overflow_csv(path: Path) -> None:
 def write_reference_set(src: Path, out: Path) -> None:
     out.mkdir(parents=True)
     inputs.write_score_csv(out / "scores.csv", 1, 800)
+    inputs.write_score_csv(out / "long.csv", 2, 3000)
     write_dead_rows_csv(out / "scores.csv", out / "dead.csv")
     write_overflow_csv(out / "overflow.csv")
     (out / "ev_ini.ini").write_text(CONFIG)

@@ -138,9 +138,16 @@ class _Settings:
     def __getitem__(self, name: tuple[str, str]):
         flag, default, parse = _SETTINGS[name]
         value = getattr(self.args, flag)
+        if value is not None:
+            return parse(value)
+        value = self.sections.get(name[0], {}).get(name[1])
         if value is None:
-            value = self.sections.get(name[0], {}).get(name[1])
-        return default if value is None else parse(value)
+            return default
+        try:
+            return parse(value)
+        except ValueError as exc:
+            section, key = name
+            raise ValueError(f"{self.args.config}: key {key!r} in section [{section}]: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

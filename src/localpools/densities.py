@@ -76,7 +76,7 @@ def check_simplex_rows(rows: np.ndarray) -> None:
         if not np.isfinite(rows).all():
             raise ValueError("weights must be finite")
         raise ValueError("each weight must lie in [0, 1]")
-    totals = rows.sum(axis=1)
+    totals = _row_reduce(np.add, rows)
     off = np.abs(totals - 1.0) > WEIGHT_SUM_TOL
     if off.any():
         raise ValueError(
@@ -219,11 +219,30 @@ def pooled_rows(weights: np.ndarray, log_scores: np.ndarray) -> np.ndarray:
     """
     w, lp = np.broadcast_arrays(weights, log_scores)
     lp = np.where(w > 0.0, lp, -np.inf)
-    top = lp.max(axis=-1)
+    top = _row_reduce(np.maximum, lp)
     shift = np.where(top > -np.inf, top, 0.0)
     # log(0) on rows that pool to -inf; a score of -1e308 less a shift of
     # 1e308 overflows to -inf, whose term is the exact 0 it would round to.
     with np.errstate(divide="ignore", over="ignore"):
-        total = (w * np.exp(lp - shift[..., None])).sum(axis=-1)
-        return top + (np.log(total) - np.log(w.sum(axis=-1)))
+        total = _row_reduce(np.add, w * np.exp(lp - shift[..., None]))
+        return top + (np.log(total) - np.log(_row_reduce(np.add, w)))
+
+
+def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` for ``np.add`` or ``np.maximum``, bitwise.
+
+    Along fewer than eight columns NumPy adds one column at a time, left to
+    right, from +0.0; so does this, with one call per column instead of
+    NumPy's slow path for short rows.  ``np.maximum`` is exact in any order
+    and passes NaN on as ``np.max`` does.  From eight columns on NumPy sums
+    pairwise, and this is ``ufunc.reduce`` itself.  ``tests/test_densities.py``
+    pins both facts.
+    """
+    if x.shape[-1] >= 8:
+        return ufunc.reduce(x, axis=-1)
+    # The one-column reduce: +0.0 plus the entry for a sum, the entry for a maximum.
+    out = ufunc.reduce(x[..., :1], axis=-1)
+    for j in range(1, x.shape[-1]):
+        out = ufunc(out, x[..., j])
+    return out
 

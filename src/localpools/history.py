@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densities import _row_reduce
+
 __all__ = [
     "PredictionRecord", "History", "RecordError", "caliper_rows", "check_records", "check_widths",
     "settle_score_sums",
@@ -140,9 +142,10 @@ class History:
     """Time-ordered scored predictions with caliper neighbourhood queries.
 
     Records are held as four read-only arrays (times, pooling points,
-    outcomes, expert scores) and a live flag per row.  Growth replaces
-    them with longer fresh arrays, so an array read earlier never
-    changes.  Appends must carry
+    outcomes, expert scores) and a live flag per row, each a view of the
+    first n rows of a buffer that doubles its capacity when full.  Growth
+    writes rows only past every view already handed out, so an array read
+    earlier never changes.  Appends must carry
     strictly increasing ``time_index`` values and a consistent pooling
     dimension / expert count.  Standardisation moments are recomputed
     whenever the history grows.
@@ -155,13 +158,21 @@ class History:
             raise ValueError("need at least one expert")
         self._n_dims = int(n_pooling_dims)
         self._n_experts = int(n_experts)
-        self._times = np.empty(0, dtype=int)
-        self._points = np.empty((0, self._n_dims))
-        self._outcomes = np.empty(0)
-        self._scores = np.empty((0, self._n_experts))
-        self._live = np.empty(0, dtype=bool)
+        self._buffers = (
+            np.empty(0, dtype=int),
+            np.empty((0, self._n_dims)),
+            np.empty(0),
+            np.empty((0, self._n_experts)),
+            np.empty(0, dtype=bool),
+        )
+        self._times, self._points, self._outcomes, self._scores, self._live = self._buffers
+        # Running column sums of the points and the scores; None while
+        # empty, and for one column, which NumPy sums pairwise.
+        self._point_sums = self._score_sums = None
         self._mean = np.zeros(self._n_dims)
         self._std = np.ones(self._n_dims)
+        # The points less their mean, which the spread and ``distances`` share.
+        self._centred = self._points
         # Largest magnitude per column (floored at 1), kept as a running max.
         self._magnitude = np.ones(self._n_dims)
 
@@ -198,22 +209,47 @@ class History:
             raise ValueError(
                 f"record scores {scores.shape[1]} experts, history expects {self._n_experts}"
             )
-        if self._times.size and times[0] <= self._times[-1]:
+        n = len(self)
+        if n and times[0] <= self._times[-1]:
             raise _late(times[0], self._times[-1], 0)
-        self._times = np.concatenate([self._times, times])
-        self._points = np.concatenate([self._points, points])
-        self._outcomes = np.concatenate([self._outcomes, outcomes])
-        self._scores = np.concatenate([self._scores, scores])
         # A row on which every expert scores -inf is dead: every pool
         # scores -inf there, so it cannot rank pools or weights.
-        self._live = np.concatenate([self._live, (scores > -np.inf).any(axis=1)])
-        for array in (self._times, self._points, self._outcomes, self._scores, self._live):
-            array.flags.writeable = False
-        self._mean = self._points.mean(axis=0)
+        live = _row_reduce(np.maximum, scores) > -np.inf
+        blocks = (times, points, outcomes, scores, live)
+        self._buffers = tuple(_grow(buf, n, block) for buf, block in zip(self._buffers, blocks))
+        views = tuple(buf[: n + len(times)] for buf in self._buffers)
+        for view in views:
+            view.flags.writeable = False
+        self._times, self._points, self._outcomes, self._scores, self._live = views
+        start, n = n, n + len(times)
+        # NumPy sums two or more C-ordered columns along axis 0 row by row,
+        # which is the order of running sums; one column it sums pairwise.
+        # The sums run over the rows as written to the buffers, not over
+        # the caller's block, which may be laid out column by column.
+        if self._n_dims > 1:
+            self._point_sums = _running_sums(self._point_sums, self._points[start:])
+            self._mean = self._point_sums / n
+        else:
+            self._mean = np.add.reduce(self._points, axis=0) / n
+        if self._n_experts > 1:
+            # As ``_caliper_means`` sums: an overflow or inf - inf is settled
+            # where the sums are read.
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._score_sums = _running_sums(self._score_sums, self._scores[start:])
         # np.std's own arithmetic, from the mean just taken instead of a second one.
-        std = np.sqrt(((self._points - self._mean) ** 2).mean(axis=0))
+        self._centred = self._points - self._mean
+        std = np.sqrt(np.add.reduce(np.square(self._centred), axis=0) / n)
         self._magnitude = np.maximum(self._magnitude, np.abs(points).max(axis=0))
         self._std = np.where(std < _DEGENERATE_STD * self._magnitude, 1.0, std)
+
+    def _score_means(self) -> np.ndarray:
+        """Per-expert mean log score over every row, settled: bitwise
+        ``settle_score_sums(score_matrix.mean(axis=0))``.  Not on an empty history."""
+        sums = self._score_sums
+        if sums is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = np.add.reduce(self._scores, axis=0)
+        return settle_score_sums(sums / len(self))
 
     # -- views --------------------------------------------------------
 
@@ -265,8 +301,9 @@ class History:
         if len(self) == 0:
             return np.empty(0)
         target = self.standardize(point)
-        standardized = (self.pooling_points - self._mean) / self._std
-        return np.sqrt(np.sum((standardized - target) ** 2, axis=1))
+        diff = self._centred / self._std
+        diff -= target
+        return np.sqrt(_row_reduce(np.add, np.square(diff, out=diff)))
 
     def caliper_neighbors(self, point, width: float) -> np.ndarray:
         """Row indices whose standardised distance to ``point`` is <= width.
@@ -274,6 +311,31 @@ class History:
         The boundary is inclusive: a record exactly ``width`` away counts.
         """
         return caliper_rows(self.distances(point), (width,))[0]
+
+
+def _grow(buffer: np.ndarray, n: int, block: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``block`` written from row ``n``, moved to a buffer of
+    double capacity when it is full; rows before ``n`` are never written."""
+    if n + len(block) > len(buffer):
+        larger = np.empty((max(2 * len(buffer), n + len(block)), *buffer.shape[1:]), buffer.dtype)
+        larger[:n] = buffer[:n]
+        buffer = larger
+    buffer[n : n + len(block)] = block
+    return buffer
+
+
+def _running_sums(sums, block: np.ndarray) -> np.ndarray:
+    """Column sums of the rows summed so far (``sums``, None for none) and ``block``.
+
+    ``np.add.reduce(axis=0)`` of all the rows at once, bitwise, when there
+    are two or more columns and ``block`` is C-ordered: NumPy adds such rows
+    one at a time.
+    """
+    if sums is None:
+        return np.add.reduce(block, axis=0)
+    for row in block:
+        sums = sums + row
+    return sums
 
 
 def caliper_rows(dist: np.ndarray, widths) -> list[np.ndarray]:

@@ -330,7 +330,9 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
     naming the path, and the line where the parser gives one.
     """
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # No header names a section holding a newline, so ``[DEFAULT]`` reads as
+    # a section of its own, and its keys are not copied into every other.
+    parser = configparser.ConfigParser(default_section="\n")
     try:
         # Universal newlines, as reading the file in text mode gives.
         parser.read_file(StringIO(_read_utf8(path, ValueError), newline=None), source=str(path))

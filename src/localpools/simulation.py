@@ -334,9 +334,10 @@ def replication_studies(
     (K, nodes) table: an expert's true local skill is its row dotted with
     the quadrature weights, and every scheme x width pool is checked on
     the simplex, pooled against the table and dotted with them too.
-    Schemes without a width ignore the point, so their weights are built
-    once per replication, and ``local_opt`` shares the whole-history fit
-    across points (``PoolQuery.at``).  Both studies' calipers at a point
+    Schemes without a width ignore the point, so their one cell is built
+    once per replication and pooled once per point for every width, and
+    ``local_opt`` shares the whole-history fit across points
+    (``PoolQuery.at``).  Both studies' calipers at a point
     come from that point's one distance pass.
     """
     if replications < 100:
@@ -367,6 +368,11 @@ def replication_studies(
     if run_pool:
         scores = np.empty((replications, n_points, len(schemes), len(pool_widths)))
         polarization = np.empty(replications)
+        # The cells of each scheme: one per width, or one for every width.
+        repeats = []
+        for scheme in schemes:
+            width_free = "width" not in SCHEMES[scheme].axes
+            repeats += [len(pool_widths)] if width_free else [1] * len(pool_widths)
 
     for r, child in enumerate(_replication_seeds(config.seed, replications)):
         data = _generate(np.random.default_rng(child), config)
@@ -374,16 +380,16 @@ def replication_studies(
         whole = PoolQuery(history)
         if run_pool:
             # A scheme without a caliper width ignores the query point, so
-            # its weights are built once per replication, a row per width.
+            # its one cell is built once per replication.
             global_cells = {
-                scheme: np.repeat(SCHEMES[scheme].grid(whole), len(pool_widths), axis=0)
+                scheme: SCHEMES[scheme].grid(whole)
                 for scheme in schemes
                 if "width" not in SCHEMES[scheme].axes
             }
             # Polarizing-behaviour diagnostic: natural-scaling softmax with
             # the caliper covering every record, so the factor is the full
             # history length.
-            all_data = history.score_matrix.mean(axis=0)[None, :]
+            all_data = history._score_means()[None, :]
             polarization[r] = float(softmax_grid([len(history)], all_data, (NATURAL,)).max())
 
         for m, (z, (outcomes, quad_weights)) in enumerate(zip(z_points, rules)):
@@ -409,7 +415,8 @@ def replication_studies(
                 )
                 pooled = _pool_cells(cells[:, None, :], table.T)
                 expected = [float(quad_weights @ row) for row in pooled]
-                scores[r, m] = np.reshape(expected, scores.shape[2:])
+                # A width-free scheme's one cell scores every width.
+                scores[r, m] = np.repeat(expected, repeats).reshape(scores.shape[2:])
 
     error_results = tuple(
         ErrorStudyResult(

@@ -561,6 +561,45 @@ def test_a_config_key_that_no_command_reads_is_refused(tmp_path, capsys, body, w
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body", ["[DEFAULT]\nwarmup_size = 5\n", "[DEFAULT]\nwarmup_size = 5\n[run]\nseed = 3\n"],
+    ids=["alone", "beside-a-section"],
+)
+def test_a_default_section_key_is_refused_in_its_own_name(tmp_path, capsys, body):
+    """configparser would copy a ``[DEFAULT]`` key into every section, where
+    it either ran unread or was blamed on another section."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(body)
+    out = tmp_path / "out"
+    rc = main(["--config", str(ini), "evaluate", "--scores", str(tmp_path / "missing.csv"), "--out", str(out)])
+    assert rc == 1
+    err = f"error: {ini}: no command reads key 'warmup_size' in section [DEFAULT]\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, where, reason",
+    [
+        ("[evaluation]\nwarmup_size = x\n", "key 'warmup_size' in section [evaluation]",
+         "invalid literal for int() with base 10: 'x'"),
+        ("[data]\nsimulate = maybe\n", "key 'simulate' in section [data]", "not a boolean: 'maybe'"),
+    ],
+    ids=["int", "boolean"],
+)
+def test_a_bad_config_value_names_its_file_section_and_key(tmp_path, capsys, body, where, reason):
+    ini = tmp_path / "run.ini"
+    ini.write_text(body)
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "evaluate", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {ini}: {where}: {reason}\n")
+    assert not out.exists()
+    # The same value as a flag stays a usage error.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--warmup", "x", "--out", str(out)])
+    assert exit_info.value.code == 2
+
+
 def test_simulate_in_the_config_beats_its_scores_csv_as_the_flag_does(tmp_path, capsys):
     """``[data] simulate`` means what ``--simulate`` means: it beats the
     file's ``scores_csv``, and a ``--scores`` flag beats it."""
@@ -584,7 +623,8 @@ def test_simulate_in_the_config_beats_its_scores_csv_as_the_flag_does(tmp_path, 
     assert source() == {"scores_csv": str(csv_path)}
     ini.write_text(ini.read_text().replace("simulate = off", "simulate = maybe"))
     assert main(["--config", str(ini), "evaluate", "--out", str(tmp_path / "bad")]) == 1
-    assert capsys.readouterr().err == "error: not a boolean: 'maybe'\n"
+    err = f"error: {ini}: key 'simulate' in section [data]: not a boolean: 'maybe'\n"
+    assert capsys.readouterr().err == err
     assert not (tmp_path / "bad").exists()
 
 

@@ -13,6 +13,7 @@ from localpools.densities import (
     Mixture,
     PoolWeights,
     StudentT,
+    _row_reduce,
     check_simplex_rows,
 )
 from localpools.pools import pooled_log_scores
@@ -258,3 +259,61 @@ def test_pooled_permutation_invariance(case, rnd):
         PoolWeights(w.values[perm]), lp[np.asarray(perm)]
     )
     assert abs(base - permuted) <= 1e-12 * max(1.0, abs(base))
+
+
+# Entries that exercise the edges of a reduction: signed zeros, infinities,
+# NaN, and magnitudes whose sums overflow.
+_EDGE_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7e308, 5e-324]),
+)
+
+
+@st.composite
+def _short_rows(draw):
+    """A float array of 1-10 columns in some layout a caller can pass:
+    C-ordered, transposed, or broadcast along a leading axis."""
+    c = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, 6))
+    values = np.array(draw(st.lists(_EDGE_ENTRIES, min_size=rows * c, max_size=rows * c)))
+    x = values.reshape(rows, c)
+    layout = draw(st.sampled_from(["c-order", "fortran", "broadcast-rows", "broadcast-cells"]))
+    if layout == "fortran":
+        x = np.asfortranarray(x)
+    elif layout == "broadcast-rows":
+        x = np.broadcast_to(x[:1], (3, c))
+    elif layout == "broadcast-cells":
+        x = np.broadcast_to(x[:, None, :], (rows, 4, c))
+    return x
+
+
+def _bits(x) -> bytes:
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+@given(_short_rows())
+@settings(max_examples=400, deadline=None)
+def test_short_row_reductions_are_numpys_bitwise(x):
+    """``_row_reduce`` gives the bits of ``np.sum`` and ``np.max`` along the
+    last axis: one column at a time from +0.0 below eight columns, NumPy's
+    own reduce from eight on, with NaN, infinities, signed zeros and
+    overflowing sums kept as NumPy has them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(_row_reduce(np.add, x)) == _bits(np.sum(x, axis=-1))
+        assert _bits(_row_reduce(np.maximum, x)) == _bits(np.max(x, axis=-1))
+
+
+def test_numpy_sums_eight_or_more_columns_in_another_order():
+    """Why ``_row_reduce`` hands rows of eight or more to NumPy: there
+    NumPy sums pairwise, and a left-to-right sum rounds differently."""
+    u = 2.0**-53
+    row = np.array([[1.0, 1.0, 1.0, u, u, u, u, u]])
+    left_to_right = 0.0
+    for value in row[0]:
+        left_to_right += value
+    assert left_to_right == 3.0
+    assert np.sum(row, axis=-1)[0] == 3.0 + 4 * u
+    assert _row_reduce(np.add, row)[0] == 3.0 + 4 * u
+    # Seven of them are summed left to right, as NumPy does.
+    assert _row_reduce(np.add, row[:, 1:])[0] == np.sum(row[:, 1:], axis=-1)[0] == 2.0

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from localpools.evaluation import EvaluationStream
 from localpools.history import (
-    History, PredictionRecord, RecordError, check_records, settle_score_sums,
+    History, PredictionRecord, RecordError, _running_sums, check_records, settle_score_sums,
 )
 from localpools.io import ScoreCsvError, format_real, load_score_csv
+from localpools.pools import PoolQuery
 from oracles import standardizing_moments
 
 
@@ -374,15 +375,17 @@ def _blocks(draw):
     return times, points, outcomes, scores, query
 
 
-@given(_blocks(), st.floats(min_value=0, max_value=5, exclude_min=True))
+@given(_blocks(), st.floats(min_value=0, max_value=5, exclude_min=True), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_from_arrays_matches_appending_row_by_row(block, width):
+def test_from_arrays_matches_appending_row_by_row(block, width, by_column):
     """One block and the same rows appended one by one give the same bits,
-    and an array read before later appends never changes.  The live flags,
-    set one row at a time as the history grows or all at once, mark the
-    rows on which some expert scores above -inf."""
+    whether the block is laid out row by row or column by column, and an
+    array read before later appends never changes.  The live flags, set one
+    row at a time as the history grows or all at once, mark the rows on
+    which some expert scores above -inf."""
     times, points, outcomes, scores, query = block
-    whole = History.from_arrays(times, points, outcomes, scores)
+    layout = np.asfortranarray if by_column else np.ascontiguousarray
+    whole = History.from_arrays(times, layout(points), outcomes, layout(scores))
     grown = History(points.shape[1], scores.shape[1])
     read = []
     for i in range(len(times)):
@@ -408,18 +411,110 @@ def test_from_arrays_matches_appending_row_by_row(block, width):
         (whole.standardize(query + 1.0), grown.standardize(query + 1.0)),
         (whole.distances(query), grown.distances(query)),
     ]
+    widths = (math.ulp(0.0), width, np.inf)
     pairs += [
         (whole.caliper_neighbors(query, w), grown.caliper_neighbors(query, w))
-        for w in (math.ulp(0.0), width, np.inf)
+        for w in widths
     ]
+    pairs.append((PoolQuery(whole, query, widths).calipers[1], PoolQuery(grown, query, widths).calipers[1]))
     for a, b in pairs:
         assert _same_bits(a, b)
     assert whole.caliper_neighbors(query, np.inf).size == len(times)
+
+    # Both are NumPy's whole-array moments and means, bitwise.
+    mean = points.mean(axis=0)
+    std = np.sqrt(((points - mean) ** 2).mean(axis=0))
+    std = np.where(std < 1e-12 * np.maximum(1.0, np.abs(points).max(axis=0)), 1.0, std)
+    assert _same_bits(grown.standardize(query), (query - mean) / std)
+    with np.errstate(over="ignore", invalid="ignore"):
+        score_means = settle_score_sums(scores.mean(axis=0))
+    assert _same_bits(PoolQuery(grown, query, (np.inf,)).calipers[1][0], score_means)
 
     live = np.any(scores > -np.inf, axis=1)
     for history in (whole, grown):
         assert not history.live_rows.flags.writeable
         assert _same_bits(history.live_rows, live)
+
+
+_SUM_ENTRIES = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 0.0, -np.inf, 1e308, -1e308, 2.0**-53]),
+)
+
+
+@given(st.integers(1, 40), st.integers(2, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_numpy_sums_two_or_more_columns_along_axis_0_row_by_row(n, c, data):
+    """``History``'s running sums rest on this: ``np.add.reduce(axis=0)``
+    and ``mean(axis=0)`` of a C-ordered (n, c >= 2) array add its rows one
+    at a time, so a sum kept row by row, or block by block, has their bits."""
+    x = np.array(data.draw(st.lists(_SUM_ENTRIES, min_size=n * c, max_size=n * c))).reshape(n, c)
+    cut = data.draw(st.integers(1, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_row = None
+        for row in x:
+            by_row = _running_sums(by_row, row[None, :])
+        by_block = _running_sums(_running_sums(None, x[:cut]), x[cut:])
+        whole, mean = np.add.reduce(x, axis=0), x.mean(axis=0)
+    for sums in (by_row, by_block):
+        assert _same_bits(sums, whole)
+        assert _same_bits(sums / n, mean)
+    # A block laid out column by column, as the scores of a history: its
+    # running sums are NumPy's sums of the C-ordered rows.
+    scores = np.where(x < np.inf, x, -np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = settle_score_sums(np.add.reduce(scores, axis=0) / n)
+        history = History.from_arrays(np.arange(n), np.zeros((n, 1)), np.zeros(n), scores.T.copy().T)
+        assert _same_bits(history._score_means(), want)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 7])
+def test_long_columns_are_summed_row_by_row_too(c):
+    """The same at the lengths of long streams, against ``np.add.accumulate``,
+    which adds one row at a time by definition."""
+    x = np.random.default_rng(c).normal(size=(20000, c)) * 10.0 ** np.arange(c)
+    assert _same_bits(np.add.reduce(x, axis=0), np.add.accumulate(x, axis=0)[-1])
+    assert _same_bits(x.mean(axis=0), np.add.accumulate(x, axis=0)[-1] / len(x))
+
+
+def test_a_block_laid_out_column_by_column_keeps_numpys_row_order():
+    """NumPy sums the columns of a Fortran-ordered array pairwise, so
+    ``History`` takes its running sums over the rows it has copied into its
+    C-ordered buffers, not over the caller's block."""
+    u = 2.0**-53
+    rows = np.ascontiguousarray(np.array([[1.0, 1.0, 1.0, u, u, u, u, u]] * 2).T)
+    by_column = np.asfortranarray(rows)
+    assert not _same_bits(np.add.reduce(by_column, axis=0), np.add.reduce(rows, axis=0))
+    times, outcomes = np.arange(len(rows)), np.zeros(len(rows))
+    history = History.from_arrays(times, by_column, outcomes, by_column)
+    by_row = History.from_arrays(times, rows, outcomes, rows)
+    assert _same_bits(history.standardize((0.0, 0.0)), by_row.standardize((0.0, 0.0)))
+    assert _same_bits(history._score_means(), rows.mean(axis=0))
+    assert _same_bits(history._mean, history.pooling_points.mean(axis=0))
+
+
+def test_one_column_falls_back_to_numpys_pairwise_mean():
+    """NumPy sums one column pairwise, so a history of one pooling
+    dimension or one expert takes ``mean`` over every row instead of a
+    running sum, which would round this column differently."""
+    u = 2.0**-53
+    column = [1.0, 1.0, 1.0, u, u, u, u, u]
+    running = 0.0
+    for x in column:
+        running += x
+    mean, std = np.mean(column), np.std(column)
+    assert running / len(column) != mean
+    h = History(1, 1)
+    for t, x in enumerate(column):
+        h.append(_record(t, (x,), (x,)))
+    assert _same_bits(h.standardize((0.0,)), [(0.0 - mean) / std])
+    assert _same_bits(PoolQuery(h, (0.0,), (np.inf,)).calipers[1], [[mean]])
+    # With a second column the same values are summed row by row.
+    h = History(2, 2)
+    for t, x in enumerate(column):
+        h.append(_record(t, (x, 0.5 * t), (x, -x)))
+    assert PoolQuery(h, (0.0, 0.0), (np.inf,)).calipers[1][0, 0] == running / len(column)
 
 
 def test_settled_score_sums_are_minus_inf_where_nan_and_unchanged_elsewhere():

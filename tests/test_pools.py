@@ -21,10 +21,11 @@ from localpools.pools import (
     local_opt_weights,
     optimize_pool_weights,
     pooled_log_scores,
+    softmax_grid,
     softmax_weights,
 )
 from oracles import _certified_fit as numpy_certified_fit
-from oracles import pooled_objective, refined_grid_best
+from oracles import pooled_objective, refined_grid_best, softmax_cell
 
 
 def _estimate(values, n=10, width=1.0):
@@ -143,6 +144,104 @@ def test_softmax_preserves_estimate_ordering(estimates, tau):
     order_est = np.argsort(est)
     order_w = np.argsort(w)
     np.testing.assert_array_equal(order_est, order_w)
+
+
+@st.composite
+def _grids(draw):
+    """Counts, estimates and scaling rules of a grid of 1-120 cells, with
+    infinite, huge and tied estimates, empty calipers and zero factors."""
+    widths, k = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    estimate = st.one_of(
+        st.floats(min_value=-50.0, max_value=5.0),
+        st.sampled_from([-np.inf, np.inf, -1e308, 1e308, -1.0, 0.0]),
+    )
+    estimates = np.array(draw(st.lists(estimate, min_size=widths * k, max_size=widths * k)))
+    counts = draw(st.lists(st.integers(0, 5000), min_size=widths, max_size=widths))
+    rule = st.one_of(
+        st.just(NATURAL), st.builds(FixedScaling, st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6]))
+    )
+    scalings = tuple(draw(st.lists(rule, min_size=1, max_size=6)))
+    return counts, estimates.reshape(widths, k), scalings
+
+
+@given(_grids())
+@settings(max_examples=300, deadline=None)
+def test_softmax_grid_is_the_one_cell_oracle_bitwise(grid):
+    """Every cell of ``softmax_grid``, on grids small enough for ``fsum``
+    rows and large enough for certified ones, is the bits of
+    ``oracles.softmax_cell``: one ``rule.factor`` and one ``math.fsum``."""
+    counts, estimates, scalings = grid
+    cells = softmax_grid(counts, estimates, scalings)
+    want = [
+        softmax_cell(estimates[j], float(rule.factor(count)))
+        for j, count in enumerate(counts)
+        for rule in scalings
+    ]
+    assert cells.tobytes() == np.array(want).tobytes()
+
+
+_U = 2.0**-53
+# Rows whose first chain's errors do not sum exactly: ``lost`` > 0.  The
+# first rounds to 1.0 from 2**-54 (1 + 2**-6) away, more than the gap
+# test allows at a power of two, so the certificate cannot clear it; the
+# second is far from any midpoint and is cleared.
+_UNCLEARED = [1.0, 2.0**-54 * (1 + 2 * _U), 2.0**-60 * (1 + 2 * _U), 0.0]
+_CLEARED_LOSSY = [1.0, 2.0**-56 * (1 + 2 * _U), 2.0**-62 * (1 + 2 * _U), 0.0]
+# ``s + e`` is the midpoint just below 2.0, where the gap is halved; it
+# rounds up to 2.0, but what the error sum rounded away takes the exact
+# sum below the midpoint, to 2 - 2**-52.  A gap not halved would clear 2.0.
+_BELOW_TWO = [1.0, 1.0 - 2 * _U, 2.0**-54, 2.0**-54 - 2.0**-107]
+_SPECIAL_TILTS = [
+    0.0, 5e-324, 1e-310, 2.0**-1022, _U, 2.0**-54, _U * (1 + 2 * _U), 0.5, 0.25, 1.0 - _U, 1.0,
+]
+
+
+@st.composite
+def _tilt_rows(draw):
+    """An (m, K) array of tilts, K from 1 to 8: each row has an exact 1.0
+    (its maximum), and the rest are exponentials of nonpositive numbers,
+    underflowed ones, or values that make ties and powers of two."""
+    k, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    tilt = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(_SPECIAL_TILTS))
+    rows = np.array(draw(st.lists(st.lists(tilt, min_size=k, max_size=k), min_size=m, max_size=m)))
+    rows[np.arange(m), draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))] = 1.0
+    # Enough rows for the certified path; fewer are summed by fsum alone.
+    return np.tile(rows, (draw(st.sampled_from([1, pools._FSUM_ROWS])), 1))
+
+
+@given(_tilt_rows())
+@settings(max_examples=300, deadline=None)
+def test_certified_row_sums_are_fsum_bitwise(rows):
+    """Each row sum of the softmax is ``math.fsum``'s, bitwise, whichever
+    path takes it, and every row the certificate clears is right."""
+    fsums = np.array([math.fsum(row) for row in rows.tolist()])
+    assert pools._exact_row_sums(rows).tobytes() == fsums.tobytes()
+    sums, cleared = pools._certified_sums(rows)
+    assert sums[cleared].tobytes() == fsums[cleared].tobytes()
+
+
+def test_ties_and_powers_of_two_are_certified_exactly():
+    """A row whose error sum is exact needs no gap test: ``fl(s + e)`` is
+    the sum rounded to nearest, ties to even, as ``fsum`` rounds it."""
+    rows = np.array([[1.0, _U, 0.0], [1.0, 3 * _U, 0.0], [1.0, 0.5, 0.5], [1.0, 1.0 - _U, _U]])
+    sums, cleared = pools._certified_sums(rows)
+    assert cleared.all()
+    assert sums.tolist() == [1.0, 1.0 + 4 * _U, 2.0, 2.0]
+    assert sums.tolist() == [math.fsum(row) for row in rows.tolist()]
+
+
+def test_rows_the_certificate_cannot_clear_go_to_fsum():
+    """Where the error sum is inexact, the gap test clears a row far from
+    a midpoint; one that it cannot clear is summed by ``math.fsum``, and
+    only such rows are."""
+    rows = np.array([_UNCLEARED, _CLEARED_LOSSY, _BELOW_TWO, [1.0, 0.5, 0.0, 0.0]] * pools._FSUM_ROWS)
+    sums, cleared = pools._certified_sums(rows)
+    assert cleared.tolist() == [False, True, False, True] * pools._FSUM_ROWS
+    assert sums[2] == 2.0 != math.fsum(_BELOW_TWO) == 2.0 - 2 * _U
+    with mock.patch.object(pools.math, "fsum", wraps=math.fsum) as fsum:
+        exact = pools._exact_row_sums(rows)
+    assert fsum.call_count == 2 * pools._FSUM_ROWS
+    assert exact.tolist() == [math.fsum(row) for row in rows.tolist()]
 
 
 class TestOptimizePoolWeights:
