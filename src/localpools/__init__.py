@@ -10,7 +10,6 @@ one-step-ahead protocol with dynamic hyperparameter selection.
 __version__ = "0.1.0"
 
 from .densities import (
-    Gaussian,
     Mixture,
     PoolWeights,
     PredictiveDensity,
@@ -67,7 +66,6 @@ from .simulation import (
 __all__ = [
     "__version__",
     "PredictiveDensity",
-    "Gaussian",
     "StudentT",
     "Mixture",
     "PoolWeights",

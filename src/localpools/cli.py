@@ -34,7 +34,6 @@ from .evaluation import (
 )
 from .history import History, settle_score_sums
 from .io import (
-    ScoreCsvError,
     emit_results,
     format_real,
     json_text,
@@ -373,8 +372,7 @@ def _cmd_pool_once(args, settings: _Settings) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         settings = _Settings(args)
         if args.command == "simulate":
@@ -383,13 +381,11 @@ def main(argv=None) -> int:
             return _cmd_evaluate(args, settings)
         if args.command == "gridsearch":
             return _cmd_gridsearch(args, settings)
-        if args.command == "pool-once":
-            return _cmd_pool_once(args, settings)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError, ScoreCsvError) as exc:
+        # argparse requires one of the four subcommands.
+        return _cmd_pool_once(args, settings)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

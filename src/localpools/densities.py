@@ -21,14 +21,11 @@ __all__ = [
     "PoolWeights",
     "check_simplex_rows",
     "PredictiveDensity",
-    "Gaussian",
     "StudentT",
     "Mixture",
     "pooled_rows",
     "student_t_log_pdf",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # Simplex membership is enforced to this absolute tolerance on the sum.
 WEIGHT_SUM_TOL = 1e-12
@@ -99,33 +96,6 @@ def _validate_finite_scalar(name: str, value: float) -> float:
     return value
 
 
-def _match_input(y_in, out: np.ndarray):
-    """Return ``out`` as a float when the input was scalar-like."""
-    if np.ndim(y_in) == 0:
-        return float(out)
-    return out
-
-
-@dataclass(frozen=True)
-class Gaussian(PredictiveDensity):
-    """Normal distribution with mean ``mean`` and standard deviation ``stddev``."""
-
-    mean: float
-    stddev: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", _validate_finite_scalar("mean", self.mean))
-        object.__setattr__(self, "stddev", _validate_finite_scalar("stddev", self.stddev))
-        if self.stddev <= 0.0:
-            raise ValueError(f"stddev must be > 0, got {self.stddev!r}")
-
-    def log_density(self, y):
-        arr = np.asarray(y, dtype=float)
-        z = (arr - self.mean) / self.stddev
-        out = -0.5 * (_LOG_2PI + z * z) - math.log(self.stddev)
-        return _match_input(y, out)
-
-
 def student_t_log_pdf(z, log_scale, dof: float):
     """Student-t log density at standardised residuals ``z``, vectorised.
 
@@ -166,7 +136,8 @@ class StudentT(PredictiveDensity):
 
     def log_density(self, y):
         z = (np.asarray(y, dtype=float) - self.location) / self.scale
-        return _match_input(y, student_t_log_pdf(z, math.log(self.scale), self.dof))
+        out = student_t_log_pdf(z, math.log(self.scale), self.dof)
+        return float(out) if np.ndim(y) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,3 +217,14 @@ def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
         out = ufunc(out, x[..., j])
     return out
 
+
+def _in_order_sum(values) -> float:
+    """Left-to-right sum of floats from 0.0, ``np.add.reduce``'s order below eight.
+
+    ``np.sum`` of more is pairwise, and builtin ``sum`` is compensated from
+    Python 3.12; each rounds differently.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import check_simplex_rows, pooled_rows
+from .densities import _in_order_sum, check_simplex_rows, pooled_rows
 from .history import History, PredictionRecord, check_records, check_widths, settle_score_sums
 from .pools import NATURAL, FixedScaling, PoolQuery, softmax_grid
 
@@ -244,15 +244,6 @@ class EvaluationResult:
         return dict(zip(self.pooled_log_scores, settle_score_sums(np.array(sums)).tolist()))
 
 
-def _in_order_sum(values) -> float:
-    """Left-to-right sum from 0.0: ``np.sum`` is pairwise and builtin ``sum``
-    is compensated from Python 3.12, and each rounds differently."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def select_hyperparameters(candidate_cumulative) -> int:
     """Index of the best-scoring grid cell; ties fall to the earliest one.
 
@@ -300,7 +291,7 @@ def _pool_cells(cells: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 # Scored steps per batched pass: enough to amortise each numpy call, few
-# enough that a block's softmax cells and their list copy stay small.
+# enough that a block's softmax cells stay small.
 _BLOCK_STEPS = 128
 
 

@@ -115,20 +115,14 @@ def _settle(post: NigPosterior, m, P, a: float, b: float, indices) -> None:
     )
 
 
-def diffuse_nig(
-    covariate_indices: tuple[int, ...],
-    *,
-    prior_precision: float = 1e-6,
-    shape_a: float = 0.01,
-    rate_b: float = 0.01,
-) -> NigPosterior:
-    """Near-flat NIG prior: zero mean, precision ``prior_precision * I``."""
+def diffuse_nig(covariate_indices: tuple[int, ...]) -> NigPosterior:
+    """Near-flat NIG prior: zero mean, precision ``1e-6 * I``, ``a = b = 0.01``."""
     p = len(tuple(covariate_indices)) + 1
     return NigPosterior(
         coefficient_mean=np.zeros(p),
-        precision_matrix=prior_precision * np.eye(p),
-        shape_a=shape_a,
-        rate_b=rate_b,
+        precision_matrix=1e-6 * np.eye(p),
+        shape_a=0.01,
+        rate_b=0.01,
         covariate_indices=tuple(covariate_indices),
     )
 

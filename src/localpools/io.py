@@ -176,21 +176,21 @@ def load_score_csv(path) -> EvaluationStream:
         raise ScoreCsvError(f"{path}: line {exc.row + 2}, column {column!r}: {exc}") from None
 
 
+def _record_header(n_dims: int, names) -> list[str]:
+    """The record columns ``t, y, z_1..z_d, lp_<name>..``: a score CSV's, steps.csv's first."""
+    return ["t", "y", *(f"z_{j + 1}" for j in range(n_dims)), *(f"lp_{n}" for n in names)]
+
+
+def _record_cells(t: int, y: float, point, scores) -> list[str]:
+    """The cells of one record under ``_record_header``."""
+    return [str(t), format_real(y), *map(format_real, point), *map(format_real, scores)]
+
+
 def write_score_csv(path, stream: EvaluationStream) -> Path:
     """Write a stream in the exact format ``load_score_csv`` accepts."""
-    d = stream.n_pooling_dims
-    header = (
-        ["t", "y"]
-        + [f"z_{j + 1}" for j in range(d)]
-        + [f"lp_{name}" for name in stream.expert_names]
-    )
-    rows = (
-        [str(int(stream.time_indices[i])), format_real(stream.outcomes[i])]
-        + [format_real(v) for v in stream.pooling_points[i]]
-        + [format_real(v) for v in stream.log_scores[i]]
-        for i in range(stream.n_steps)
-    )
-    return write_csv(path, header, rows)
+    header = _record_header(stream.n_pooling_dims, stream.expert_names)
+    columns = (stream.time_indices.tolist(), stream.outcomes, stream.pooling_points, stream.log_scores)
+    return write_csv(path, header, map(_record_cells, *columns))
 
 
 # -- evaluation results --------------------------------------------------
@@ -222,8 +222,7 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
 
     width_schemes = [s for s in schemes if "width" in SCHEMES[s].axes]
     scaling_schemes = [s for s in schemes if "scaling" in SCHEMES[s].axes]
-    header = ["t", "y"] + [f"z_{j + 1}" for j in range(history.n_pooling_dims)]
-    header += [f"lp_{n}" for n in names]
+    header = _record_header(history.n_pooling_dims, names)
     header += [f"pooled_{s}" for s in schemes]
     for s in schemes:
         header += [f"w_{s}_{n}" for n in names]
@@ -232,9 +231,7 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
 
     def step_rows():
         for i, t in enumerate(times):
-            row = [str(t), format_real(outcomes[i])]
-            row += [format_real(v) for v in points[i]]
-            row += [format_real(v) for v in expert_scores[i]]
+            row = _record_cells(t, outcomes[i], points[i], expert_scores[i])
             row += [format_real(result.pooled_log_scores[s][i]) for s in schemes]
             for s in schemes:
                 row += [format_real(v) for v in result.weights[s][i]]

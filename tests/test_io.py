@@ -300,6 +300,28 @@ class TestEmitResults:
             assert paths[key].read_bytes() == again[key].read_bytes()
 
 
+def test_steps_csv_leads_with_the_score_csv_of_the_reported_steps(tmp_path):
+    """The record columns ``t, y, z_j, lp_<name>`` of steps.csv, header
+    and rows, are byte for byte the score CSV of the reported steps."""
+    rng = np.random.default_rng(7)
+    T, d, k, skip = 40, 2, 3, 12
+    scores = rng.normal(-1.5, 1.0, size=(T, k))
+    scores[rng.random((T, k)) < 0.2] = -np.inf
+    scores[[15, 30]] = -np.inf
+    times = 1000 + 3 * np.arange(T)
+    stream = EvaluationStream(rng.normal(size=(T, d)), rng.normal(size=T), scores, ("a", "b", "c"), times)
+    config = EvaluationConfig(warmup_size=4, history_size=skip - 4, width_grid=(1.0, math.inf))
+    steps = emit_results(rolling_evaluate(stream, config), tmp_path / "run")["steps"]
+    reported = EvaluationStream(
+        stream.pooling_points[skip:], stream.outcomes[skip:], scores[skip:], stream.expert_names, times[skip:]
+    )
+    written = write_score_csv(tmp_path / "reported.csv", reported).read_bytes().split(b"\n")
+    lead = 2 + d + k
+    leading = [b",".join(line.split(b",")[:lead]) for line in steps.read_bytes().split(b"\n")]
+    assert b"-inf" in b"\n".join(written)
+    assert leading == written
+
+
 class TestConfigHelpers:
     def test_parse_scaling_token(self):
         assert parse_scaling_token("natural") is NATURAL

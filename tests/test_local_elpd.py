@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from localpools.densities import Gaussian, StudentT
+from localpools.densities import StudentT
 from localpools.history import History
 from localpools.local_elpd import LocalElpdEstimate, caliper_elpd, true_local_elpd
 from localpools.simulation import DgpConfig
-from oracles import expected_log_score_quad
+from oracles import Gaussian, expected_log_score_quad
 
 # E[log N(y; m, 1)] under y ~ N(m, 1): -log(sqrt(2 pi)) - 1/2
 PERFECT_GAUSSIAN_ELPD = -1.4189385332046727

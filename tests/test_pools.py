@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localpools.densities import Gaussian, Mixture, PoolWeights
+from localpools.densities import Mixture, PoolWeights
 from localpools.history import History, caliper_rows
 from localpools import pools
 from localpools.local_elpd import LocalElpdEstimate
@@ -25,7 +25,7 @@ from localpools.pools import (
     softmax_weights,
 )
 from oracles import _certified_fit as numpy_certified_fit
-from oracles import pooled_objective, refined_grid_best, softmax_cell
+from oracles import Gaussian, pooled_objective, refined_grid_best, softmax_cell
 
 
 def _estimate(values, n=10, width=1.0):
@@ -573,6 +573,40 @@ class TestLocalOptWeights:
             with pytest.raises(ValueError):
                 whole[0, 0] = 0.0
             np.testing.assert_array_equal(query.at((1.0,), (np.inf,)).global_opt(), whole)
+
+
+@given(_score_blocks(dead_rows=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_query_fits_are_the_optimizer_on_the_live_rows_alone(scores, data):
+    """``global_opt`` and every ``local_opt`` cell of a history with dead
+    rows are, bitwise, ``optimize_pool_weights`` on the caliper's live rows
+    gathered beforehand, and exactly ``1/K`` where none is live."""
+    n, k = scores.shape
+    points = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))[:, None]
+    history = History.from_arrays(np.arange(n), points, np.zeros(n), scores)
+    point, widths = (data.draw(st.floats(-3.0, 3.0)),), (math.ulp(0.0), 0.5, 1.0, np.inf)
+    live = np.any(scores > -np.inf, axis=1)
+
+    def on_live_rows(rows):
+        rows = rows[live[rows]]
+        return optimize_pool_weights(scores[rows]).values if rows.size else np.full(k, 1.0 / k)
+
+    query = PoolQuery(history, point, widths)
+    assert query.global_opt()[0].tobytes() == on_live_rows(np.arange(n)).tobytes()
+    for rows, cell in zip(caliper_rows(history.distances(point), widths), query.local_opt()):
+        assert cell.tobytes() == on_live_rows(rows).tobytes()
+
+
+def test_a_caliper_of_dead_rows_gives_exactly_equal_weights():
+    scores = np.array([[-np.inf] * 3, [-np.inf] * 3, [-1.0, -2.0, -np.inf], [-3.0, -1.0, -2.0]])
+    points = np.array([[0.0], [0.1], [5.0], [5.1]])
+    history = History.from_arrays(np.arange(4), points, np.zeros(4), scores)
+    query = PoolQuery(history, (0.05,), (0.1, np.inf))
+    assert [idx.tolist() for idx in query.calipers[0]] == [[0, 1], [0, 1, 2, 3]]
+    cells = query.local_opt()
+    assert cells[0].tolist() == [1.0 / 3] * 3
+    assert cells[1].tobytes() == optimize_pool_weights(scores[2:]).values.tobytes()
+    assert query.global_opt()[0].tobytes() == cells[1].tobytes()
 
 
 class TestPooledLogScores:
