@@ -13,8 +13,11 @@ The set: the score CSV of ``bench/inputs.write_score_csv(..., 1, 800)``
 (taken from the checkout holding this script, so both trees read the same
 bytes); ``evaluate --simulate`` with its dumped stream; two ``evaluate``
 runs and one ``gridsearch`` on the CSV; two ``pool-once`` calls;
-``simulate --study both``; ``dead.csv``, the same CSV with every expert
-scoring ``-inf`` on a few rows and one expert on every row, and one
+``simulate --study both``; ``simulate --study pool`` with the schemes in
+another order and an infinite width, and ``simulate --study error``, each
+at two query points, one with a negative coordinate; ``dead.csv``, the
+same CSV with every expert scoring ``-inf`` on a few rows and one expert
+on every row, and one
 ``evaluate`` and one ``gridsearch`` run on it; ``overflow.csv``, a 60-step
 CSV whose log scores reach ``-1e308`` and ``1e308`` (the one of
 ``tests/test_cli.py::test_scores_that_overflow_the_softmax_run_to_the_end``),
@@ -79,6 +82,16 @@ CALLS = {
     "ev_long": [
         "evaluate", "--scores", "long.csv", "--schemes", "local_softmax,equal", "--warmup", "100",
         "--history", "100", "--out", "ev_long",
+    ],
+    # Negative coordinates in the ``=`` form, which every tree reads.
+    "sim_pool": [
+        "simulate", "--study", "pool", "--replications", "100", "--sample-size", "400",
+        "--schemes", "local_opt,equal,local_softmax,global_opt", "--widths", "0.5,2,inf",
+        "--query-points=-1,0;1,1", "--seed", "5", "--out", "sim_pool",
+    ],
+    "sim_error": [
+        "simulate", "--study", "error", "--replications", "100", "--sample-size", "400",
+        "--widths", "0.3,1", "--query-points=0,0;-2,0", "--seed", "6", "--out", "sim_error",
     ],
 }
 # No [data] simulate: beside a scores_csv, older trees ignore it and newer

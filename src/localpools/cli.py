@@ -371,7 +371,22 @@ def _cmd_pool_once(args, settings: _Settings) -> int:
     return 0
 
 
+def _join_negative_values(argv) -> list[str]:
+    """``--point -0.5,1`` as ``--point=-0.5,1``: argparse reads a word that
+    starts with ``-`` and holds a comma as a flag, so it is joined to the long
+    option before it.  argparse reads a lone negative number as a value."""
+    out: list[str] = []
+    for word in argv:
+        value = word[:1] == "-" and word[1:2] != "-" and "," in word
+        if value and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
     try:
         settings = _Settings(args)

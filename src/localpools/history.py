@@ -28,8 +28,9 @@ __all__ = [
 # A pooling dimension that never varies carries no distance information;
 # dividing by its (near-)zero spread would blow every distance up to inf.
 # The spread of a constant column is rounding noise that grows with the
-# column's magnitude, so the threshold is relative to its largest entry
-# (floored at 1).
+# column's magnitude, so the threshold is relative to its largest entry.
+# It is inclusive, so an all-zero column (a threshold and a spread of 0)
+# is degenerate too.
 _DEGENERATE_STD = 1e-12
 
 
@@ -173,8 +174,8 @@ class History:
         self._std = np.ones(self._n_dims)
         # The points less their mean, which the spread and ``distances`` share.
         self._centred = self._points
-        # Largest magnitude per column (floored at 1), kept as a running max.
-        self._magnitude = np.ones(self._n_dims)
+        # Largest magnitude per column, kept as a running max.
+        self._magnitude = np.zeros(self._n_dims)
 
     # -- growth -------------------------------------------------------
 
@@ -240,7 +241,7 @@ class History:
         self._centred = self._points - self._mean
         std = np.sqrt(np.add.reduce(np.square(self._centred), axis=0) / n)
         self._magnitude = np.maximum(self._magnitude, np.abs(points).max(axis=0))
-        self._std = np.where(std < _DEGENERATE_STD * self._magnitude, 1.0, std)
+        self._std = np.where(std <= _DEGENERATE_STD * self._magnitude, 1.0, std)
 
     def _score_means(self) -> np.ndarray:
         """Per-expert mean log score over every row, settled: bitwise
@@ -300,10 +301,14 @@ class History:
         """Standardised Euclidean distance from ``point`` to every record."""
         if len(self) == 0:
             return np.empty(0)
-        target = self.standardize(point)
-        diff = self._centred / self._std
-        diff -= target
-        return np.sqrt(_row_reduce(np.add, np.square(diff, out=diff)))
+        # A column's spread may be far below 1 (its entries are), so a point
+        # can lie more than the largest double away; it is at distance inf,
+        # outside every finite caliper.
+        with np.errstate(over="ignore"):
+            target = self.standardize(point)
+            diff = self._centred / self._std
+            diff -= target
+            return np.sqrt(_row_reduce(np.add, np.square(diff, out=diff)))
 
     def caliper_neighbors(self, point, width: float) -> np.ndarray:
         """Row indices whose standardised distance to ``point`` is <= width.

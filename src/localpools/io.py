@@ -272,17 +272,13 @@ def emit_results(result: EvaluationResult, output_dir, *, metadata=None) -> dict
 
 def write_error_study_csv(path, result: ErrorStudyResult) -> Path:
     """Tidy rows: one per (replication, width, expert)."""
+    widths = [format_real(width) for width in result.width_grid]
+    counts = result.neighbor_counts.tolist()
+    truths = [[format_real(v) for v in row] for row in result.true_elpd.tolist()]
     rows = (
-        [
-            str(r),
-            format_real(width),
-            name,
-            format_real(result.errors[r, w, k]),
-            str(int(result.neighbor_counts[r, w])),
-            format_real(result.true_elpd[r, k]),
-        ]
-        for r in range(result.errors.shape[0])
-        for w, width in enumerate(result.width_grid)
+        [str(r), widths[w], name, format_real(errors[w][k]), str(counts[r][w]), truths[r][k]]
+        for r, errors in enumerate(result.errors.tolist())
+        for w in range(len(widths))
         for k, name in enumerate(result.expert_names)
     )
     header = ["replication", "width", "expert", "error", "neighbor_count", "true_elpd"]
@@ -297,14 +293,14 @@ def write_pool_study_csv(path, result: PoolStudyResult) -> Path:
         + [f"z_{j + 1}" for j in range(d)]
         + ["expected_log_score"]
     )
+    widths = [format_real(width) for width in result.width_grid]
+    points = [[format_real(v) for v in point] for point in result.query_points.tolist()]
     rows = (
-        [str(r), scheme, format_real(width)]
-        + [format_real(v) for v in result.query_points[m]]
-        + [format_real(result.scores[r, m, s, w])]
-        for r in range(result.scores.shape[0])
-        for m in range(result.query_points.shape[0])
-        for s, scheme in enumerate(result.schemes)
-        for w, width in enumerate(result.width_grid)
+        [str(r), scheme, widths[w], *points[m], format_real(score)]
+        for r, replication in enumerate(result.scores.tolist())
+        for m, point_scores in enumerate(replication)
+        for scheme, scheme_scores in zip(result.schemes, point_scores)
+        for w, score in enumerate(scheme_scores)
     )
     return write_csv(path, header, rows)
 

@@ -150,9 +150,8 @@ def softmax_grid(counts, estimates, scalings) -> np.ndarray:
 # Grids of fewer rows are summed by ``math.fsum`` row by row.  The
 # certificate costs about 20 us at K = 2 and 34 us at K = 4 whatever the
 # grid's height, fsum 0.2-0.3 us a row; the two meet near 128 rows for
-# K = 2 to 4 (a 2-core Xeon, NumPy 2.4.6).  ``simulate --study both``,
-# whose grids hold 1 to 6 rows, runs 1-10% faster (median 9%, six
-# alternating pairs) with this split than with the certificate alone.
+# K = 2 to 4 (a 2-core Xeon, NumPy 2.4.6).  One query's grid, as
+# ``pool-once`` and the one-cell builders make, is far below that.
 _FSUM_ROWS = 128
 
 

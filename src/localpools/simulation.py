@@ -7,8 +7,8 @@ missing covariate happens to be near zero — local skill varies over the
 covariate plane even though global skill is symmetric.
 
 Two replication studies quantify the machinery against the quadrature
-ground truth, both served by one pass over the replications
-(``replication_studies``) that draws and fits each replication once:
+ground truth, both served by ``replication_studies``: one loop draws and
+fits each replication once, and one pass then scores every pool.
 
 * ``estimator_error_study`` — sampling distribution of the caliper
   estimator's error (estimate minus that replication's true local skill)
@@ -313,6 +313,12 @@ def pool_comparison_study(
     return pool
 
 
+# (Replication, point) pairs per pooling block.  A block's temporaries hold
+# pairs x cells x nodes x K doubles (130 kB at 16 x 8 x 64 x 2); blocks of
+# 128 were no faster and raised the peak RSS of 500 replications by 5 MiB.
+_BLOCK_PAIRS = 16
+
+
 def replication_studies(
     query_points=DEFAULT_QUERY_POINTS,
     replications: int = 500,
@@ -323,22 +329,24 @@ def replication_studies(
     schemes=DEFAULT_POOL_SCHEMES,
     train_fraction: float = 0.5,
 ) -> tuple[tuple[ErrorStudyResult, ...], PoolStudyResult | None]:
-    """Both replication studies from one pass over the replications.
+    """Both replication studies from one draw loop and one scoring pass.
 
     Returns one ``ErrorStudyResult`` per query point and the
     ``PoolStudyResult`` over all of them; a study whose widths are
     ``None`` is not run (no error results, or ``None`` for the pool).
-    Every input is checked before the first draw.  Each replication is
-    drawn, fitted and scored once.  At each query point the fitted
-    experts' log densities at the quadrature outcomes form one
-    (K, nodes) table: an expert's true local skill is its row dotted with
-    the quadrature weights, and every scheme x width pool is checked on
-    the simplex, pooled against the table and dotted with them too.
-    Schemes without a width ignore the point, so their one cell is built
-    once per replication and pooled once per point for every width, and
-    ``local_opt`` shares the whole-history fit across points
-    (``PoolQuery.at``).  Both studies' calipers at a point
-    come from that point's one distance pass.
+    Every input is checked before the first draw.  The loop draws, fits
+    and queries each replication once.  At each query point the fitted
+    experts' log densities at the quadrature outcomes form one (K, nodes)
+    table: an expert's true local skill is its row dotted with the
+    quadrature weights.  Both studies' calipers at a point come from its
+    one distance pass.  A scheme without a width ignores the point, so
+    its one cell is built once per replication, and ``local_opt`` shares
+    the whole-history fit across points (``PoolQuery.at``).  The pass
+    builds every softmax cell and each all-data row with one
+    ``softmax_grid`` call, then checks and pools the cells of
+    ``_BLOCK_PAIRS`` (replication, point) pairs at a time against their
+    tables, and dots each pooled row with the quadrature weights: bitwise
+    as one pair at a time.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications for a stable picture")
@@ -359,6 +367,7 @@ def replication_studies(
     if not 1 <= train_size < config.sample_size:
         raise ValueError("train fraction leaves an empty batch")
     rules = [quadrature_rule(config, z) for z in z_points]
+    tables = np.empty((replications, n_points, k, len(rules[0][0])))
 
     if run_errors:
         shape = (n_points, replications, len(error_widths))
@@ -366,39 +375,32 @@ def replication_studies(
         counts = np.empty(shape, dtype=int)
         truths = np.empty((n_points, replications, k))
     if run_pool:
-        scores = np.empty((replications, n_points, len(schemes), len(pool_widths)))
-        polarization = np.empty(replications)
-        # The cells of each scheme: one per width, or one for every width.
-        repeats = []
-        for scheme in schemes:
-            width_free = "width" not in SCHEMES[scheme].axes
-            repeats += [len(pool_widths)] if width_free else [1] * len(pool_widths)
+        # Each scheme's cells, in scheme order: one per width, or one for
+        # every width when the scheme takes none.
+        width_free = [s for s in schemes if "width" not in SCHEMES[s].axes]
+        sizes = [1 if s in width_free else len(pool_widths) for s in schemes]
+        ends = np.cumsum(sizes).tolist()
+        slots = {s: slice(end - size, end) for s, size, end in zip(schemes, sizes, ends)}
+        cells = np.empty((replications, n_points, ends[-1], k))
+        n_soft = len(pool_widths) if SCHEME_LOCAL_SOFTMAX in schemes else 0
+        per_point = [s for s in schemes if s not in width_free and s != SCHEME_LOCAL_SOFTMAX]
+        soft_counts = np.empty((replications, n_points, n_soft), dtype=int)
+        soft_means = np.empty((replications, n_points, n_soft, k))
+        all_means = np.empty((replications, k))
 
     for r, child in enumerate(_replication_seeds(config.seed, replications)):
         data = _generate(np.random.default_rng(child), config)
         fitted, history = _fit_and_score_split(data, experts, train_size)
         whole = PoolQuery(history)
         if run_pool:
-            # A scheme without a caliper width ignores the query point, so
-            # its one cell is built once per replication.
-            global_cells = {
-                scheme: SCHEMES[scheme].grid(whole)
-                for scheme in schemes
-                if "width" not in SCHEMES[scheme].axes
-            }
-            # Polarizing-behaviour diagnostic: natural-scaling softmax with
-            # the caliper covering every record, so the factor is the full
-            # history length.
-            all_data = history._score_means()[None, :]
-            polarization[r] = float(softmax_grid([len(history)], all_data, (NATURAL,)).max())
+            for scheme in width_free:
+                cells[r, :, slots[scheme]] = SCHEMES[scheme].grid(whole)
+            all_means[r] = history._score_means()
 
         for m, (z, (outcomes, quad_weights)) in enumerate(zip(z_points, rules)):
-            table = np.stack(
-                [
-                    nig_predictive(post, design_vector(post, z)).log_density(outcomes)
-                    for post in fitted
-                ]
-            )
+            table = tables[r, m]
+            for row, post in zip(table, fitted):
+                row[:] = nig_predictive(post, design_vector(post, z)).log_density(outcomes)
             # One query per point: both studies' calipers share its distances.
             query = whole.at(z, pool_widths or (), (NATURAL,))
             if run_errors:
@@ -407,17 +409,41 @@ def replication_studies(
                 errors[m, r] = estimates - truths[m, r]
                 counts[m, r] = [idx.size for idx in neighbors]
             if run_pool:
-                cells = np.concatenate(
-                    [
-                        global_cells[s] if s in global_cells else SCHEMES[s].grid(query)
-                        for s in schemes
-                    ]
-                )
-                pooled = _pool_cells(cells[:, None, :], table.T)
-                expected = [float(quad_weights @ row) for row in pooled]
-                # A width-free scheme's one cell scores every width.
-                scores[r, m] = np.repeat(expected, repeats).reshape(scores.shape[2:])
+                if n_soft:
+                    neighbors, soft_means[r, m] = query.calipers
+                    soft_counts[r, m] = [idx.size for idx in neighbors]
+                for scheme in per_point:
+                    cells[r, m, slots[scheme]] = SCHEMES[scheme].grid(query)
 
+    pool_result = None
+    if run_pool:
+        # The softmax cells, then each replication's all-data row: its caliper
+        # covers every record, so the natural factor is the history length.
+        flat = softmax_grid(
+            np.append(soft_counts, np.full(replications, config.sample_size - train_size)),
+            np.concatenate([soft_means.reshape(-1, k), all_means]),
+            (NATURAL,),
+        )
+        if n_soft:
+            cells[:, :, slots[SCHEME_LOCAL_SOFTMAX]] = flat[:-replications].reshape(soft_means.shape)
+        # Pair p is point p % n_points of replication p // n_points.
+        pairs, pair_tables = cells.reshape(-1, ends[-1], k), tables.reshape(-1, k, tables.shape[-1])
+        expected = np.empty(pairs.shape[:2])
+        for start in range(0, len(pairs), _BLOCK_PAIRS):
+            block = slice(start, start + _BLOCK_PAIRS)
+            pooled = _pool_cells(pairs[block, :, None], pair_tables[block, None].swapaxes(-1, -2))
+            for p, rows in enumerate(pooled, start):
+                expected[p] = list(map(rules[p % n_points][1].dot, rows))
+        # A width-free scheme's one cell scores every width.
+        repeats = [len(pool_widths) // size for size in sizes for _ in range(size)]
+        scores = np.repeat(expected, repeats, axis=1).reshape(replications, n_points, len(schemes), -1)
+        pool_result = PoolStudyResult(
+            query_points=z_points,
+            width_grid=pool_widths,
+            schemes=schemes,
+            scores=scores,
+            full_data_max_weight=flat[-replications:].max(axis=1),
+        )
     error_results = tuple(
         ErrorStudyResult(
             query_point=z_points[m],
@@ -429,13 +455,4 @@ def replication_studies(
         )
         for m in range(n_points if run_errors else 0)
     )
-    pool_result = None
-    if run_pool:
-        pool_result = PoolStudyResult(
-            query_points=z_points,
-            width_grid=pool_widths,
-            schemes=schemes,
-            scores=scores,
-            full_data_max_weight=polarization,
-        )
     return error_results, pool_result

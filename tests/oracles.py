@@ -13,6 +13,9 @@ time.  It alone calls into the package, for ``select_hyperparameters``:
 what it checks is the batched bookkeeping of the totals, not the rule
 that picks a cell from them.  ``_certified_fit`` is the pool optimizer's
 iterates as they ran when every K-length operation was a NumPy call.
+``replication_studies_by_pair`` scores the replication studies one
+(replication, point) pair at a time, as the package did before its
+scoring pass was batched; it uses the package's draws, fits and calipers.
 ``Gaussian`` is a normal predictive law on scipy's log density, for tests
 that need a density the package does not ship; it subclasses the
 package's ``PredictiveDensity`` only so that a ``Mixture`` accepts it.
@@ -252,15 +255,15 @@ def sample_nig_predictive(
 def standardizing_moments(points) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension mean and population std of the records, constant rule applied.
 
-    A dimension whose std is below 1e-12 of its largest magnitude
-    (floored at 1) is constant, carries no distance information, and is
-    given a std of 1.
+    A dimension whose std is at most 1e-12 of its largest magnitude (an
+    all-zero one among them) is constant, carries no distance information,
+    and is given a std of 1.
     """
     points = np.asarray(points, dtype=float)
     mean = np.mean(points, axis=0)
     std = np.std(points, axis=0)
-    magnitude = np.maximum(1.0, np.abs(points).max(axis=0))
-    return mean, np.where(std < 1e-12 * magnitude, 1.0, std)
+    magnitude = np.abs(points).max(axis=0)
+    return mean, np.where(std <= 1e-12 * magnitude, 1.0, std)
 
 
 def standardized_distance(record, point, mean, std) -> float:
@@ -481,3 +484,88 @@ def _certified_fit(A: np.ndarray, gap_tol: float, max_iter: int, gains: list | N
             if gains is not None:
                 gains.append(gain)
     return w, gap
+
+
+# -- the replication studies, one (replication, point) pair at a time --------
+#
+# ``simulation.replication_studies`` as it scored each pair before its
+# scoring was batched: every cell of a pair concatenated in scheme order,
+# checked and pooled against that pair's table alone, and the softmax and
+# the all-data row built one query at a time.  Only the draws, the fits and
+# the calipers are the package's.
+
+
+def replication_studies_by_pair(
+    query_points, replications, config, *, error_widths, pool_widths, schemes=None, train_fraction=0.5
+):
+    """``(errors, counts, truths, scores, max_weights)`` as arrays, one pair at a time.
+
+    ``errors``, ``counts`` and ``truths`` are stacked over the query points
+    (``None`` without error widths); ``scores`` and ``max_weights`` are the
+    pool study's (``None`` without pool widths).
+    """
+    from localpools.evaluation import SCHEMES, _pool_cells
+    from localpools.experts import design_vector, nig_predictive
+    from localpools.local_elpd import quadrature_rule
+    from localpools.pools import NATURAL, PoolQuery, softmax_grid
+    from localpools.simulation import (
+        _fit_and_score_split,
+        _generate,
+        _replication_seeds,
+        default_experts,
+    )
+
+    experts = default_experts()
+    k = len(experts)
+    z_points = np.atleast_2d(np.asarray(query_points, dtype=float))
+    n_points = z_points.shape[0]
+    train_size = int(round(train_fraction * config.sample_size))
+    rules = [quadrature_rule(config, z) for z in z_points]
+    errors = counts = truths = scores = polarization = None
+    if error_widths is not None:
+        shape = (n_points, replications, len(error_widths))
+        errors, counts, truths = np.empty(shape + (k,)), np.empty(shape, dtype=int), np.empty(shape[:2] + (k,))
+    if pool_widths is not None:
+        scores = np.empty((replications, n_points, len(schemes), len(pool_widths)))
+        polarization = np.empty(replications)
+        repeats = []
+        for scheme in schemes:
+            width_free = "width" not in SCHEMES[scheme].axes
+            repeats += [len(pool_widths)] if width_free else [1] * len(pool_widths)
+
+    for r, child in enumerate(_replication_seeds(config.seed, replications)):
+        data = _generate(np.random.default_rng(child), config)
+        fitted, history = _fit_and_score_split(data, experts, train_size)
+        whole = PoolQuery(history)
+        if pool_widths is not None:
+            global_cells = {
+                scheme: SCHEMES[scheme].grid(whole)
+                for scheme in schemes
+                if "width" not in SCHEMES[scheme].axes
+            }
+            all_data = history._score_means()[None, :]
+            polarization[r] = float(softmax_grid([len(history)], all_data, (NATURAL,)).max())
+        for m, (z, (outcomes, quad_weights)) in enumerate(zip(z_points, rules)):
+            table = np.stack(
+                [
+                    nig_predictive(post, design_vector(post, z)).log_density(outcomes)
+                    for post in fitted
+                ]
+            )
+            query = whole.at(z, pool_widths or (), (NATURAL,))
+            if error_widths is not None:
+                truths[m, r] = [float(quad_weights @ row) for row in table]
+                neighbors, estimates = query.caliper_grid(error_widths)
+                errors[m, r] = estimates - truths[m, r]
+                counts[m, r] = [idx.size for idx in neighbors]
+            if pool_widths is not None:
+                cells = np.concatenate(
+                    [
+                        global_cells[s] if s in global_cells else SCHEMES[s].grid(query)
+                        for s in schemes
+                    ]
+                )
+                pooled = _pool_cells(cells[:, None, :], table.T)
+                expected = [float(quad_weights @ row) for row in pooled]
+                scores[r, m] = np.repeat(expected, repeats).reshape(scores.shape[2:])
+    return errors, counts, truths, scores, polarization

@@ -375,18 +375,46 @@ def test_pool_once_to_stdout(tmp_path, capsysbinary):
     assert printed == out.read_bytes()
 
 
-def test_negative_coordinates_are_passed_in_the_equals_form(tmp_path):
-    """argparse takes ``--point -0.5,1`` for two flags; ``--point=-0.5,1``
-    and ``--query-points=-1,0;0,0`` reach the commands as values."""
-    scores = _score_csv(tmp_path)
-    once = tmp_path / "once.json"
-    assert main(["pool-once", "--scores", str(scores), "--point=-0.5,1", "--out", str(once)]) == 0
-    assert json.loads(once.read_text())["query_point"] == [-0.5, 1.0]
-    sim = tmp_path / "sim"
-    argv = ["simulate", "--study", "error", "--replications", "100", "--sample-size", "60", "--widths", "1"]
-    assert main([*argv, "--query-points=-1,0;0,0", "--out", str(sim)]) == 0
-    manifest = json.loads((sim / "manifest.json").read_text())
-    assert manifest["query_points"] == [[-1.0, 0.0], [0.0, 0.0]]
+_SIMULATE_ERROR = ["simulate", "--study", "error", "--replications", "100", "--sample-size", "60"]
+
+
+@pytest.mark.parametrize(
+    "args, flag, value, out, payload, key, expected",
+    [
+        (["pool-once"], "--point", "-0.5,1", "once.json", "once.json", "query_point", [-0.5, 1.0]),
+        ([*_SIMULATE_ERROR, "--widths", "1"], "--query-points", "-1,0;0,0", "sim",
+         "sim/manifest.json", "query_points", [[-1.0, 0.0], [0.0, 0.0]]),
+    ],
+    ids=["pool-once", "simulate"],
+)
+def test_a_negative_coordinate_may_follow_its_flag_as_a_separate_word(
+    tmp_path, capsys, args, flag, value, out, payload, key, expected
+):
+    """``--point -0.5,1`` gives the bytes of ``--point=-0.5,1``, and
+    ``--query-points "-1,0;0,0"`` those of ``--query-points=-1,0;0,0``."""
+    if args[0] == "pool-once":
+        args = [*args, "--scores", str(_score_csv(tmp_path))]
+    written, printed = [], []
+    for form, words in (("equals", [f"{flag}={value}"]), ("word", [flag, value])):
+        (tmp_path / form).mkdir()
+        assert main([*args, *words, "--out", str(tmp_path / form / out)]) == 0
+        printed.append(capsys.readouterr().out.replace(form, "FORM"))
+        files = sorted(p for p in (tmp_path / form).rglob("*") if p.is_file())
+        written.append({p.relative_to(tmp_path / form): p.read_bytes() for p in files})
+    assert written[0] == written[1] and printed[0] == printed[1]
+    assert json.loads((tmp_path / "word" / payload).read_text())[key] == expected
+
+
+def test_a_negative_width_keeps_its_error(tmp_path, capsys):
+    """A lone negative number is a value to argparse already: ``--width -1``
+    reaches the width rule, and a list of them is joined to reach it too."""
+    scores = str(_score_csv(tmp_path))
+    assert main(["pool-once", "--scores", scores, "--point", "0,0", "--width", "-1"]) == 1
+    assert capsys.readouterr().err == "error: caliper widths must be positive, got -1.0\n"
+    argv = ["evaluate", "--scores", scores, "--warmup", "5", "--history", "5", "--widths", "-1,2"]
+    assert main([*argv, "--out", str(tmp_path / "ev")]) == 1
+    assert capsys.readouterr().err == "error: caliper widths must be positive, got -1.0\n"
+    assert not (tmp_path / "ev").exists()
 
 
 def test_simulate_error_study(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localpools.evaluation import EvaluationStream
@@ -267,6 +267,33 @@ class TestStandardization:
             assert h.standardize((constant + 0.5, 0.0))[0] == pytest.approx(0.5)
             assert h.caliper_neighbors((constant + 0.5, 0.5), 1.0).size == 49
 
+    def test_a_point_beyond_the_largest_double_is_at_distance_inf(self):
+        """Entries near 1e-157 have a spread near 1e-157, so a point at 1 lies
+        about 1e157 spreads away: its squared distance overflows to inf, with
+        no warning, and only an infinite caliper holds it."""
+        points = np.array([[0.0], [4.7e-157], [9.4e-157]])
+        h = History.from_arrays(np.arange(3), points, np.zeros(3), np.zeros((3, 1)))
+        assert np.isposinf(h.distances((1.0,))).all()
+        assert h.caliper_neighbors((1.0,), 1e300).size == 0
+        assert h.caliper_neighbors((1.0,), np.inf).size == 3
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_an_all_zero_column_is_degenerate(self, grown):
+        """Its spread and its threshold are both 0; it keeps a unit scale, so
+        every distance is finite and the column adds nothing to them."""
+        points = np.column_stack([np.zeros(5), np.arange(5.0)])
+        if grown:
+            h = History(2, 1)
+            for t, point in enumerate(points):
+                h.append(_record(t, point, (-1.0,)))
+        else:
+            h = History.from_arrays(np.arange(5), points, np.zeros(5), np.full((5, 1), -1.0))
+        assert h.standardize((3.0, 2.0))[0] == 3.0
+        other = History.from_arrays(np.arange(5), points[:, 1:], np.zeros(5), np.full((5, 1), -1.0))
+        for y in (2.0, 0.5, -7.0):
+            assert np.isfinite(h.distances((3.0, y))).all()
+            np.testing.assert_allclose(h.distances((0.0, y)), other.distances((y,)), rtol=1e-15)
+
     def test_stats_refresh_after_growth(self):
         h = History(1, 1)
         h.append(_record(0, (0.0,), (0.0,)))
@@ -424,7 +451,7 @@ def test_from_arrays_matches_appending_row_by_row(block, width, by_column):
     # Both are NumPy's whole-array moments and means, bitwise.
     mean = points.mean(axis=0)
     std = np.sqrt(((points - mean) ** 2).mean(axis=0))
-    std = np.where(std < 1e-12 * np.maximum(1.0, np.abs(points).max(axis=0)), 1.0, std)
+    std = np.where(std <= 1e-12 * np.abs(points).max(axis=0), 1.0, std)
     assert _same_bits(grown.standardize(query), (query - mean) / std)
     with np.errstate(over="ignore", invalid="ignore"):
         score_means = settle_score_sums(scores.mean(axis=0))
@@ -437,7 +464,7 @@ def test_from_arrays_matches_appending_row_by_row(block, width, by_column):
 
 
 # Coordinates whose powers of two up to 2**+-30, and the squares of their
-# differences, stay normal doubles.
+# differences, stay normal doubles, also after a shrink of 1e-13.
 _SCALABLE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
@@ -446,17 +473,19 @@ def _scaled_blocks(draw):
     """A block of records with d = 1-4 and K = 1-4, a query point, a pooling
     column and a power ``k`` of two by which that column can be scaled: it
     stays normal, and its spread stays far from the degenerate threshold
-    (1e-12 of its largest magnitude, floored at 1) before and after."""
+    (1e-12 of its largest magnitude) before and after.  The column may be
+    shrunk first, down to entries of about 1e-13, where a threshold with
+    an absolute floor once took it for a constant."""
     n, d, k = draw(st.integers(2, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     row = st.lists(_SCALABLE, min_size=d, max_size=d)
     points = np.array(draw(st.lists(row, min_size=n, max_size=n)))
     column = draw(st.integers(0, d - 1))
-    # Two entries at least 1 apart give the column a spread of at least 1/sqrt(2n).
+    # Two entries at least 1 apart give the column a spread of at least
+    # 1/sqrt(2n), which is at least 1/(4000 sqrt(n)) of its largest entry.
     gap = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 1e3))
     points[-1, column] = points[0, column] + gap
-    spread = float(np.std(points[:, column]))
-    lowest = max(-30, math.ceil(math.log2(1e-6 / spread)))
-    power = draw(st.integers(lowest, 30))
+    points[:, column] *= draw(st.sampled_from([1.0, 1e-6, 1e-13]))
+    power = draw(st.integers(-30, 30))
     score = st.one_of(st.floats(min_value=-40, max_value=5), st.just(-np.inf))
     scores = np.array(draw(st.lists(st.lists(score, min_size=k, max_size=k), min_size=n, max_size=n)))
     if draw(st.booleans()):
@@ -466,13 +495,21 @@ def _scaled_blocks(draw):
     return points, scores, query, column, power
 
 
+# Entries of about 1e-13 that a threshold floored at an absolute 1 took for
+# a constant column, while the same entries times 2**50 were not.
+_TINY_COLUMN = np.array([[0.0], [1e-13], [2e-13], [5e-13]])
+
+
 @given(_scaled_blocks(), st.floats(min_value=0, max_value=5, exclude_min=True), st.booleans())
+@example((_TINY_COLUMN, np.full((4, 2), -1.0), np.zeros(1), 0, 50), 1.0, False)
+@example((_TINY_COLUMN, np.full((4, 2), -1.0), np.array([2e-13]), 0, -20), 0.6, True)
 @settings(max_examples=150, deadline=None)
 def test_scaling_a_pooling_column_by_a_power_of_two_changes_no_bit(block, width, grown):
     """Distances are in standardised units, so scaling one pooling column and
     the query's coordinate by ``2**k`` leaves ``History.distances``, every
     caliper's rows and the caliper means bitwise as they were, for a history
-    built by ``from_arrays`` or grown by ``append``."""
+    built by ``from_arrays`` or grown by ``append``, however small the
+    column's entries."""
     points, scores, query, column, power = block
     factor = np.ones(points.shape[1])
     factor[column] = 2.0**power

@@ -13,8 +13,10 @@ from localpools.history import caliper_rows
 from localpools.local_elpd import LocalElpdEstimate, true_local_elpd
 from localpools.pools import NATURAL, local_opt_weights, softmax_weights
 from localpools.simulation import (
+    _BLOCK_PAIRS,
     DEFAULT_ERROR_WIDTHS,
     DEFAULT_POOL_SCHEMES,
+    DEFAULT_POOL_WIDTHS,
     DgpConfig,
     _fit_and_score_split,
     _generate,
@@ -24,8 +26,14 @@ from localpools.simulation import (
     generate_dgp,
     nig_evaluation_stream,
     pool_comparison_study,
+    replication_studies,
 )
-from oracles import paired_contrast, score_gap_variance, softmax_polarization_rate
+from oracles import (
+    paired_contrast,
+    replication_studies_by_pair,
+    score_gap_variance,
+    softmax_polarization_rate,
+)
 
 FAST = DgpConfig(sample_size=200, seed=3)
 
@@ -274,6 +282,48 @@ class TestPoolStudy:
             pool_comparison_study(
                 replications=100, config=FAST, schemes=("equal", "nope")
             )
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "error_widths, pool_widths, schemes",
+    [
+        (DEFAULT_ERROR_WIDTHS, DEFAULT_POOL_WIDTHS, DEFAULT_POOL_SCHEMES),
+        ((0.4, 1.6), (0.5, 2.0, math.inf), ("local_opt", "equal", "local_softmax", "global_opt")),
+        ((0.3, 1.0), None, DEFAULT_POOL_SCHEMES),
+        (None, (1.0, 4.0), ("equal", "local_softmax")),
+        (None, (2.0,), ("global_opt", "local_softmax", "local_opt")),
+    ],
+    ids=["default-schemes", "scheme-order", "error-only", "pool-only", "one-width"],
+)
+def test_the_batched_pass_scores_every_pair_as_one_pair_at_a_time(
+    error_widths, pool_widths, schemes
+):
+    """``replication_studies`` gives the bits of scoring each (replication,
+    point) pair on its own; its 200 pairs fill several pooling blocks and
+    part of one more."""
+    points = ((2.0, 0.0), (-1.0, 0.5))
+    assert 100 * len(points) > _BLOCK_PAIRS and 100 * len(points) % _BLOCK_PAIRS
+    errors, pool = replication_studies(
+        points, 100, FAST, error_widths=error_widths, pool_widths=pool_widths, schemes=schemes
+    )
+    want = replication_studies_by_pair(
+        points, 100, FAST, error_widths=error_widths, pool_widths=pool_widths, schemes=schemes
+    )
+    if error_widths is None:
+        assert errors == () and want[0] is None
+    else:
+        got = [np.stack([getattr(e, name) for e in errors]) for name in
+               ("errors", "neighbor_counts", "true_elpd")]
+        assert all(_same_bits(a, b) for a, b in zip(got, want[:3]))
+    if pool_widths is None:
+        assert pool is None and want[3] is None
+    else:
+        assert _same_bits(pool.scores, want[3])
+        assert _same_bits(pool.full_data_max_weight, want[4])
 
 
 def _true_expert_log_scores(config: DgpConfig, rng, shape):
